@@ -12,9 +12,21 @@ Parameter enumeration contract: ``named_arrays(prefix)`` yields
 running statistics, which live in the weight store but do not count as
 learnable parameters. ``fuse()`` returns the inference-form twin of a block
 with every batchnorm folded away (see reparam.py for the arithmetic).
+
+Only the three leaves, ``ConvBNAct``, ``ConvAct`` and ``RepVGGBlock``, name
+their own arrays and define their own ``fuse``. Every other block is a
+``Composite`` and states its structure once, in ``CHILDREN``: ordered
+(attribute, segment) pairs, listed in weight-name order, which need not be
+forward order. A child's arrays are named ``<prefix>.<segment>``; a list
+attribute expands to ``<segment>0``, ``<segment>1``, ...; an empty segment
+reuses the parent's prefix. From that list the base class derives
+``named_arrays``, ``fuse`` (a shallow copy holding the fused children) and
+``c_in`` (the first child's; ADown doubles it), and cost.py walks the same
+list.
 """
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -58,6 +70,10 @@ class ConvBNAct:
         self.bn = BNParams.identity(c_out, eps)
         self.act = act
 
+    @property
+    def c_in(self):
+        return self.spec.c_in
+
     def forward(self, x):
         return activation(batchnorm_infer(conv2d(x, self.spec, self.w), self.bn), self.act)
 
@@ -88,6 +104,10 @@ class ConvAct:
         out.w = fused.weights
         out.b = fused.bias
         return out
+
+    @property
+    def c_in(self):
+        return self.spec.c_in
 
     def forward(self, x):
         return activation(conv2d(x, self.spec, self.w, self.b), self.act)
@@ -122,6 +142,10 @@ class RepVGGBlock:
         self.bn_id = BNParams.identity(c_out, eps) if identity else None
         self.act = act
 
+    @property
+    def c_in(self):
+        return self.spec3.c_in
+
     def forward(self, x):
         y = add(
             batchnorm_infer(conv2d(x, self.spec3, self.w3), self.bn3),
@@ -143,12 +167,46 @@ class RepVGGBlock:
         return ConvAct.from_fused(reparam.fuse_repvgg(self), self.act)
 
 
-class RepCSP:
+class Composite:
+    """A block built from other blocks, declared once in ``CHILDREN``."""
+
+    CHILDREN: tuple  # ((attribute, segment), ...), set by every subclass
+
+    def children(self):
+        """(segment, block) pairs in declared order, list attributes expanded."""
+        for attr, seg in self.CHILDREN:
+            child = getattr(self, attr)
+            if isinstance(child, list):
+                for i, blk in enumerate(child):
+                    yield f"{seg}{i}", blk
+            else:
+                yield seg, child
+
+    @property
+    def c_in(self):
+        return next(self.children())[1].c_in
+
+    def named_arrays(self, prefix):
+        for seg, child in self.children():
+            yield from child.named_arrays(f"{prefix}.{seg}" if seg else prefix)
+
+    def fuse(self):
+        out = copy.copy(self)
+        for attr, _ in self.CHILDREN:
+            child = getattr(self, attr)
+            fused = [b.fuse() for b in child] if isinstance(child, list) else child.fuse()
+            setattr(out, attr, fused)
+        return out
+
+
+class RepCSP(Composite):
     """Two 1x1 branches joined by elementwise ADD before the final 1x1.
 
     Branch one stacks n RepVGG blocks at the stage width; branch two is the
     fine-grained shortcut. The add-join (rather than concat) is the point.
     """
+
+    CHILDREN = (("cv1", "cv1"), ("blocks", "rep"), ("cv2", "cv2"), ("cv3", "cv3"))
 
     def __init__(self, c_in, c_out, n=1, identity=False, eps=BN_EPS_DEFAULT):
         self.cv1 = ConvBNAct(c_in, c_out, 1, eps=eps)
@@ -162,26 +220,14 @@ class RepCSP:
             y = blk.forward(y)
         return self.cv3.forward(add(y, self.cv2.forward(x)))
 
-    def named_arrays(self, prefix):
-        yield from self.cv1.named_arrays(f"{prefix}.cv1")
-        for i, blk in enumerate(self.blocks):
-            yield from blk.named_arrays(f"{prefix}.rep{i}")
-        yield from self.cv2.named_arrays(f"{prefix}.cv2")
-        yield from self.cv3.named_arrays(f"{prefix}.cv3")
 
-    def fuse(self):
-        out = object.__new__(RepCSP)
-        out.cv1 = self.cv1.fuse()
-        out.cv2 = self.cv2.fuse()
-        out.blocks = [b.fuse() for b in self.blocks]
-        out.cv3 = self.cv3.fuse()
-        return out
-
-
-class MerudandaX:
+class MerudandaX(Composite):
     """Primary aggregation block: 1x1 stem, split in two, two sequential
     (RepCSP + 3x3) stages on the second half, concat of all four partitions,
     final 1x1. Dense 3x3 census is 2n+2 by construction."""
+
+    CHILDREN = (("stem", "stem"), ("csp1", "csp1"), ("conv1", "conv1"), ("csp2", "csp2"),
+                ("conv2", "conv2"), ("final", "final"))
 
     def __init__(self, c_in, c_out, n=1, stem_width=None, mid_width=None,
                  identity=False, eps=BN_EPS_DEFAULT):
@@ -189,7 +235,6 @@ class MerudandaX:
         mid_width = mid_width if mid_width is not None else c_out // 2
         if stem_width % 2:
             raise ValueError(f"stem width {stem_width} must split evenly in two")
-        self.n = n
         half = stem_width // 2
         self.stem = ConvBNAct(c_in, stem_width, 1, eps=eps)
         self.csp1 = RepCSP(half, mid_width, n, identity, eps=eps)
@@ -204,29 +249,12 @@ class MerudandaX:
         d = self.conv2.forward(self.csp2.forward(c))
         return self.final.forward(concat_channels([a, b, c, d]))
 
-    def named_arrays(self, prefix):
-        yield from self.stem.named_arrays(f"{prefix}.stem")
-        yield from self.csp1.named_arrays(f"{prefix}.csp1")
-        yield from self.conv1.named_arrays(f"{prefix}.conv1")
-        yield from self.csp2.named_arrays(f"{prefix}.csp2")
-        yield from self.conv2.named_arrays(f"{prefix}.conv2")
-        yield from self.final.named_arrays(f"{prefix}.final")
 
-    def fuse(self):
-        out = object.__new__(MerudandaX)
-        out.n = self.n
-        out.stem = self.stem.fuse()
-        out.csp1 = self.csp1.fuse()
-        out.conv1 = self.conv1.fuse()
-        out.csp2 = self.csp2.fuse()
-        out.conv2 = self.conv2.fuse()
-        out.final = self.final.fuse()
-        return out
-
-
-class DWChain:
+class DWChain(Composite):
     """Inverted-bottleneck conv chain: DW 3x3, PW expand, DW k x k, PW project,
     DW 3x3. The mid depthwise kernel is 3 or 7."""
+
+    CHILDREN = (("cv1", "cv1"), ("cv2", "cv2"), ("cv3", "cv3"), ("cv4", "cv4"), ("cv5", "cv5"))
 
     def __init__(self, c, dw_kernel=3, expand=2, eps=BN_EPS_DEFAULT):
         if dw_kernel not in (3, 7):
@@ -239,23 +267,15 @@ class DWChain:
         self.cv5 = ConvBNAct(c, c, 3, groups=c, eps=eps)
 
     def forward(self, x):
-        for cv in (self.cv1, self.cv2, self.cv3, self.cv4, self.cv5):
+        for _, cv in self.children():
             x = cv.forward(x)
         return x
 
-    def named_arrays(self, prefix):
-        for i, cv in enumerate((self.cv1, self.cv2, self.cv3, self.cv4, self.cv5), 1):
-            yield from cv.named_arrays(f"{prefix}.cv{i}")
 
-    def fuse(self):
-        out = object.__new__(DWChain)
-        for name in ("cv1", "cv2", "cv3", "cv4", "cv5"):
-            setattr(out, name, getattr(self, name).fuse())
-        return out
-
-
-class MerudandaDW:
+class MerudandaDW(Composite):
     """Compact inverted block: the DW chain with a residual add around it."""
+
+    CHILDREN = (("chain", ""),)
 
     def __init__(self, c, dw_kernel=3, expand=2, eps=BN_EPS_DEFAULT):
         self.chain = DWChain(c, dw_kernel, expand, eps)
@@ -263,17 +283,11 @@ class MerudandaDW:
     def forward(self, x):
         return add(x, self.chain.forward(x))
 
-    def named_arrays(self, prefix):
-        yield from self.chain.named_arrays(prefix)
 
-    def fuse(self):
-        out = object.__new__(MerudandaDW)
-        out.chain = self.chain.fuse()
-        return out
-
-
-class SqueezeExcite:
+class SqueezeExcite(Composite):
     """Channel gating: x * sigmoid(W2 . act(W1 . GAP(x)))."""
+
+    CHILDREN = (("fc1", "fc1"), ("fc2", "fc2"))
 
     def __init__(self, c, reduce_ratio=4):
         if c % reduce_ratio:
@@ -285,17 +299,12 @@ class SqueezeExcite:
         gate = self.fc2.forward(self.fc1.forward(global_avg_pool(x)))
         return x * gate
 
-    def named_arrays(self, prefix):
-        yield from self.fc1.named_arrays(f"{prefix}.fc1")
-        yield from self.fc2.named_arrays(f"{prefix}.fc2")
 
-    def fuse(self):
-        return self
-
-
-class RepViTBlock:
+class RepViTBlock(Composite):
     """Token mixer (DW chain + squeeze-excite, residual) followed by a
     channel-mixing MLP (PW expand 2x, act, PW project), also residual."""
+
+    CHILDREN = (("chain", "mixer"), ("se", "se"), ("mlp1", "mlp1"), ("mlp2", "mlp2"))
 
     def __init__(self, c, dw_kernel=3, expand=2, se_ratio=4, eps=BN_EPS_DEFAULT):
         self.chain = DWChain(c, dw_kernel, expand, eps)
@@ -306,20 +315,6 @@ class RepViTBlock:
     def forward(self, x):
         x1 = add(x, self.se.forward(self.chain.forward(x)))
         return add(x1, self.mlp2.forward(self.mlp1.forward(x1)))
-
-    def named_arrays(self, prefix):
-        yield from self.chain.named_arrays(f"{prefix}.mixer")
-        yield from self.se.named_arrays(f"{prefix}.se")
-        yield from self.mlp1.named_arrays(f"{prefix}.mlp1")
-        yield from self.mlp2.named_arrays(f"{prefix}.mlp2")
-
-    def fuse(self):
-        out = object.__new__(RepViTBlock)
-        out.chain = self.chain.fuse()
-        out.se = self.se.fuse()
-        out.mlp1 = self.mlp1.fuse()
-        out.mlp2 = self.mlp2.fuse()
-        return out
 
 
 INNER_KINDS = ("merudanda_dw", "repvit")
@@ -333,16 +328,16 @@ def make_inner(kind: str, c: int, dw_kernel: int, eps=BN_EPS_DEFAULT):
     raise ValueError(f"unknown inner kind {kind!r}")
 
 
-class MerudandaBhag15:
+class MerudandaBhag15(Composite):
     """Parameter-efficient aggregation: 1x1 stem, split in two, n inner blocks
     chained on the second half with every intermediate appended, concat of the
     n+2 partitions, final 1x1."""
 
+    CHILDREN = (("stem", "stem"), ("inner", "inner"), ("final", "final"))
+
     def __init__(self, c_in, c_out, n=1, inner_kind="merudanda_dw", dw_kernel=3,
                  hidden=None, eps=BN_EPS_DEFAULT):
         h = hidden if hidden is not None else c_out // 2
-        self.n = n
-        self.inner_kind = inner_kind
         self.stem = ConvBNAct(c_in, 2 * h, 1, eps=eps)
         self.inner = [make_inner(inner_kind, h, dw_kernel, eps) for _ in range(n)]
         self.final = ConvBNAct((2 + n) * h, c_out, 1, eps=eps)
@@ -353,24 +348,11 @@ class MerudandaBhag15:
             parts.append(blk.forward(parts[-1]))
         return self.final.forward(concat_channels(parts))
 
-    def named_arrays(self, prefix):
-        yield from self.stem.named_arrays(f"{prefix}.stem")
-        for i, blk in enumerate(self.inner):
-            yield from blk.named_arrays(f"{prefix}.inner{i}")
-        yield from self.final.named_arrays(f"{prefix}.final")
 
-    def fuse(self):
-        out = object.__new__(MerudandaBhag15)
-        out.n = self.n
-        out.inner_kind = self.inner_kind
-        out.stem = self.stem.fuse()
-        out.inner = [b.fuse() for b in self.inner]
-        out.final = self.final.fuse()
-        return out
-
-
-class SPPF:
+class SPPF(Composite):
     """1x1 reduce, three chained same-stride maxpools, concat, 1x1 project."""
+
+    CHILDREN = (("cv1", "cv1"), ("cv2", "cv2"))
 
     def __init__(self, c_in, c_out, k=5, eps=BN_EPS_DEFAULT):
         if k % 2 == 0:
@@ -386,22 +368,13 @@ class SPPF:
             ys.append(pool2d(ys[-1], "max", self.k, 1, self.k // 2))
         return self.cv2.forward(concat_channels(ys))
 
-    def named_arrays(self, prefix):
-        yield from self.cv1.named_arrays(f"{prefix}.cv1")
-        yield from self.cv2.named_arrays(f"{prefix}.cv2")
 
-    def fuse(self):
-        out = object.__new__(SPPF)
-        out.k = self.k
-        out.cv1 = self.cv1.fuse()
-        out.cv2 = self.cv2.fuse()
-        return out
-
-
-class AttentionV2:
+class AttentionV2(Composite):
     """Multi-head self-attention over spatial sites with a joint QK 1x1 conv,
     a depthwise 3x3 positional encoding on V added before the projection, and
     batchnorm inside every conv (no norm on the logits)."""
+
+    CHILDREN = (("qk", "qk"), ("v", "v"), ("pe", "pe"), ("proj", "proj"))
 
     def __init__(self, c, heads, eps=BN_EPS_DEFAULT):
         if c % heads:
@@ -432,26 +405,12 @@ class AttentionV2:
             return y, attn
         return y
 
-    def named_arrays(self, prefix):
-        yield from self.qk.named_arrays(f"{prefix}.qk")
-        yield from self.v.named_arrays(f"{prefix}.v")
-        yield from self.pe.named_arrays(f"{prefix}.pe")
-        yield from self.proj.named_arrays(f"{prefix}.proj")
 
-    def fuse(self):
-        out = object.__new__(AttentionV2)
-        out.heads = self.heads
-        out.d_head = self.d_head
-        out.qk = self.qk.fuse()
-        out.v = self.v.fuse()
-        out.pe = self.pe.fuse()
-        out.proj = self.proj.fuse()
-        return out
-
-
-class AttentionBlockV2:
+class AttentionBlockV2(Composite):
     """Transformer block: self-attention sublayer and a 2x-expansion FFN,
     each wrapped in a residual add."""
+
+    CHILDREN = (("attn", "attn"), ("ffn1", "ffn1"), ("ffn2", "ffn2"))
 
     def __init__(self, c, heads, eps=BN_EPS_DEFAULT):
         self.attn = AttentionV2(c, heads, eps)
@@ -462,23 +421,13 @@ class AttentionBlockV2:
         x1 = add(x, self.attn.forward(x))
         return add(x1, self.ffn2.forward(self.ffn1.forward(x1)))
 
-    def named_arrays(self, prefix):
-        yield from self.attn.named_arrays(f"{prefix}.attn")
-        yield from self.ffn1.named_arrays(f"{prefix}.ffn1")
-        yield from self.ffn2.named_arrays(f"{prefix}.ffn2")
 
-    def fuse(self):
-        out = object.__new__(AttentionBlockV2)
-        out.attn = self.attn.fuse()
-        out.ffn1 = self.ffn1.fuse()
-        out.ffn2 = self.ffn2.fuse()
-        return out
-
-
-class AttentionBhag6:
+class AttentionBhag6(Composite):
     """Aggregation wrapper for transformer blocks at the lowest-resolution
     stage: SPPF, 1x1, split, N stacked AttentionBlockV2 on the second half,
     concat, 1x1. The first half bypasses attention untouched."""
+
+    CHILDREN = (("sppf", "sppf"), ("cv1", "cv1"), ("blocks", "block"), ("cv2", "cv2"))
 
     def __init__(self, c_in, c_out, n_blocks=1, heads=None, sppf_k=5, eps=BN_EPS_DEFAULT):
         if c_in % 2:
@@ -486,7 +435,6 @@ class AttentionBhag6:
         half = c_in // 2
         if heads is None:
             heads = max(1, half // 64)
-        self.n_blocks = n_blocks
         self.heads = heads
         self.sppf = SPPF(c_in, c_in, sppf_k, eps=eps)
         self.cv1 = ConvBNAct(c_in, 2 * half, 1, eps=eps)
@@ -500,34 +448,23 @@ class AttentionBhag6:
             b = blk.forward(b)
         return self.cv2.forward(concat_channels([a, b]))
 
-    def named_arrays(self, prefix):
-        yield from self.sppf.named_arrays(f"{prefix}.sppf")
-        yield from self.cv1.named_arrays(f"{prefix}.cv1")
-        for i, blk in enumerate(self.blocks):
-            yield from blk.named_arrays(f"{prefix}.block{i}")
-        yield from self.cv2.named_arrays(f"{prefix}.cv2")
 
-    def fuse(self):
-        out = object.__new__(AttentionBhag6)
-        out.n_blocks = self.n_blocks
-        out.heads = self.heads
-        out.sppf = self.sppf.fuse()
-        out.cv1 = self.cv1.fuse()
-        out.blocks = [b.fuse() for b in self.blocks]
-        out.cv2 = self.cv2.fuse()
-        return out
-
-
-class ADown:
+class ADown(Composite):
     """Pooling-diversified stride-2 downsample: 2x2 avg pool (stride 1),
     channel split, 3x3 stride-2 conv on one half, 3x3 stride-2 max pool plus
     1x1 conv on the other, concat. Costs 5/18 of a standard 3x3 stride-2 conv."""
+
+    CHILDREN = (("cv1", "cv1"), ("cv2", "cv2"))
 
     def __init__(self, c_in, c_out, eps=BN_EPS_DEFAULT):
         if c_in % 2 or c_out % 2:
             raise ValueError(f"adown needs even channel counts, got {c_in}->{c_out}")
         self.cv1 = ConvBNAct(c_in // 2, c_out // 2, 3, stride=2, eps=eps)
         self.cv2 = ConvBNAct(c_in // 2, c_out // 2, 1, eps=eps)
+
+    @property
+    def c_in(self):
+        return 2 * self.cv1.c_in  # each conv sees one half of the channels
 
     def forward(self, x):
         n, c, h, w = x.shape
@@ -538,13 +475,3 @@ class ADown:
         a = self.cv1.forward(a)
         b = self.cv2.forward(pool2d(b, "max", 3, 2, 1))
         return concat_channels([a, b])
-
-    def named_arrays(self, prefix):
-        yield from self.cv1.named_arrays(f"{prefix}.cv1")
-        yield from self.cv2.named_arrays(f"{prefix}.cv2")
-
-    def fuse(self):
-        out = object.__new__(ADown)
-        out.cv1 = self.cv1.fuse()
-        out.cv2 = self.cv2.fuse()
-        return out

@@ -12,6 +12,12 @@ Conventions (all counts are exact integers, per single input sample):
 - ``conv3x3`` is the census of dense (groups == 1) 3x3 convolution sites.
 - FLOPs are reported as 2 * MACs; both columns are printed.
 
+``block_tally`` has three leaf rules (conv+BN, conv+bias, RepVGG) and one
+walk over a composite's declared children (``blocks.Composite.CHILDREN``).
+What a composite computes itself, outside its children (residual adds, the
+squeeze-excite pool and gate, SPPF and ADown pooling, attention matmuls and
+softmax), lives in the ``_OWN_WORK`` table.
+
 The model is purely static: nothing here executes a forward pass.
 """
 from __future__ import annotations
@@ -66,21 +72,42 @@ def _conv_leaf(spec: ConvSpec, h, w, bn: bool, act: str) -> tuple[Tally, int, in
     return Tally(macs, params, census, other), ho, wo
 
 
+def _attention_work(block, c, h, w) -> tuple[int, int]:
+    sites = h * w
+    logits = block.heads * sites * sites
+    macs = 2 * logits * block.d_head  # QK^T and attn.V
+    # scale by 1/sqrt(d); softmax: max, sub+exp, sum, div; positional-encoding add
+    return macs, logits + 4 * logits + c * sites
+
+
+def _adown_work(block, c, h, w) -> tuple[int, int]:
+    ho, wo = conv_out_hw(h - 1, w - 1, 3, 2, 1)
+    # 2x2 stride-1 average pool, then a 3x3 stride-2 max pool on one half
+    return 0, 4 * c * (h - 1) * (w - 1) + 9 * (c // 2) * ho * wo
+
+
+# A composite's own work beyond its children, as (macs, other_ops) from
+# (block, c_in, h, w) at the block's input; kinds not listed have none.
+_OWN_WORK = {
+    B.RepCSP: lambda b, c, h, w: (0, b.cv1.spec.c_out * h * w),  # branch add
+    B.MerudandaDW: lambda b, c, h, w: (0, c * h * w),  # residual add
+    B.SqueezeExcite: lambda b, c, h, w: (0, 2 * c * h * w),  # pool reads, gating multiply
+    B.RepViTBlock: lambda b, c, h, w: (0, 2 * c * h * w),  # mixer residuals
+    B.AttentionBlockV2: lambda b, c, h, w: (0, 2 * c * h * w),  # sublayer residuals
+    B.SPPF: lambda b, c, h, w: (0, 3 * b.k * b.k * b.cv1.spec.c_out * h * w),  # max pools
+    B.AttentionV2: _attention_work,
+    B.ADown: _adown_work,
+}
+
+
 def block_tally(block, h: int, w: int) -> tuple[Tally, int, int]:
     """Walk a block's structure, summing costs; returns output spatial dims."""
-    t = Tally()
-
-    def visit(blk, hh, ww):
-        sub, ho, wo = block_tally(blk, hh, ww)
-        nonlocal t
-        t += sub
-        return ho, wo
-
     if isinstance(block, B.ConvBNAct):
         return _conv_leaf(block.spec, h, w, bn=True, act=block.act)
     if isinstance(block, B.ConvAct):
         return _conv_leaf(block.spec, h, w, bn=False, act=block.act)
 
+    t = Tally()
     if isinstance(block, B.RepVGGBlock):
         leaf3, ho, wo = _conv_leaf(block.spec3, h, w, bn=True, act="identity")
         leaf1, _, _ = _conv_leaf(block.spec1, h, w, bn=True, act="identity")
@@ -94,102 +121,21 @@ def block_tally(block, h: int, w: int) -> tuple[Tally, int, int]:
         t.other += elems  # activation
         return t, ho, wo
 
-    if isinstance(block, B.RepCSP):
-        ho, wo = visit(block.cv1, h, w)
-        for blk in block.blocks:
-            ho, wo = visit(blk, ho, wo)
-        visit(block.cv2, h, w)
-        t.other += block.cv1.spec.c_out * ho * wo  # branch add
-        ho, wo = visit(block.cv3, ho, wo)
-        return t, ho, wo
-
-    if isinstance(block, B.MerudandaX):
-        visit(block.stem, h, w)
-        ho, wo = visit(block.csp1, h, w)
-        ho, wo = visit(block.conv1, ho, wo)
-        ho, wo = visit(block.csp2, ho, wo)
-        ho, wo = visit(block.conv2, ho, wo)
-        return t, *visit(block.final, ho, wo)
-
-    if isinstance(block, B.DWChain):
-        ho, wo = h, w
-        for cv in (block.cv1, block.cv2, block.cv3, block.cv4, block.cv5):
-            ho, wo = visit(cv, ho, wo)
-        return t, ho, wo
-
-    if isinstance(block, B.MerudandaDW):
-        ho, wo = visit(block.chain, h, w)
-        t.other += block.chain.cv5.spec.c_out * ho * wo  # residual add
-        return t, ho, wo
-
+    # children run in declared order, each at its predecessor's output dims
     if isinstance(block, B.SqueezeExcite):
-        c = block.fc1.spec.c_in
-        t.other += c * h * w  # global average pool reads
-        visit(block.fc1, 1, 1)
-        visit(block.fc2, 1, 1)
-        t.other += c * h * w  # gating multiply
-        return t, h, w
-
-    if isinstance(block, B.RepViTBlock):
-        c = block.mlp2.spec.c_out
-        visit(block.chain, h, w)
-        visit(block.se, h, w)
-        t.other += c * h * w  # token-mixer residual
-        visit(block.mlp1, h, w)
-        visit(block.mlp2, h, w)
-        t.other += c * h * w  # channel-mixer residual
-        return t, h, w
-
-    if isinstance(block, B.MerudandaBhag15):
-        visit(block.stem, h, w)
-        for blk in block.inner:
-            visit(blk, h, w)
-        return t, *visit(block.final, h, w)
-
-    if isinstance(block, B.SPPF):
-        ho, wo = visit(block.cv1, h, w)
-        hidden = block.cv1.spec.c_out
-        t.other += 3 * block.k * block.k * hidden * ho * wo  # chained maxpools
-        return t, *visit(block.cv2, ho, wo)
-
-    if isinstance(block, B.AttentionV2):
-        c = block.heads * block.d_head
-        sites = h * w
-        visit(block.qk, h, w)
-        visit(block.v, h, w)
-        visit(block.pe, h, w)
-        t.macs += 2 * block.heads * sites * sites * block.d_head  # QK^T and attn.V
-        logits = block.heads * sites * sites
-        t.other += logits  # scale by 1/sqrt(d)
-        t.other += 4 * logits  # softmax: max, sub+exp, sum, div
-        t.other += c * sites  # positional-encoding add
-        return t, *visit(block.proj, h, w)
-
-    if isinstance(block, B.AttentionBlockV2):
-        c = block.ffn2.spec.c_out
-        visit(block.attn, h, w)
-        t.other += c * h * w
-        visit(block.ffn1, h, w)
-        visit(block.ffn2, h, w)
-        t.other += c * h * w
-        return t, h, w
-
-    if isinstance(block, B.AttentionBhag6):
-        ho, wo = visit(block.sppf, h, w)
-        ho, wo = visit(block.cv1, ho, wo)
-        for blk in block.blocks:
-            visit(blk, ho, wo)
-        return t, *visit(block.cv2, ho, wo)
-
-    if isinstance(block, B.ADown):
-        c = block.cv1.spec.c_in * 2
-        t.other += 4 * c * (h - 1) * (w - 1)  # 2x2 stride-1 average pool
-        ho, wo = visit(block.cv1, h - 1, w - 1)
-        t.other += 9 * (c // 2) * ho * wo  # 3x3 stride-2 max pool
-        visit(block.cv2, ho, wo)
-        return t, ho, wo
-
-    raise TypeError(f"no cost rule for {type(block).__name__}")
+        ho, wo = 1, 1  # the gate convs act on the pooled channel vector
+    elif isinstance(block, B.ADown):
+        ho, wo = h - 1, w - 1  # both branches read the 2x2 stride-1 average pool
+    else:
+        ho, wo = h, w
+    for _, child in block.children():
+        sub, ho, wo = block_tally(child, ho, wo)
+        t += sub
+    macs, other = _OWN_WORK.get(type(block), lambda *_: (0, 0))(block, block.c_in, h, w)
+    t.macs += macs
+    t.other += other
+    # ADown is the only composite that changes spatial dims
+    return (t, ho, wo) if isinstance(block, B.ADown) else (t, h, w)
 
 
 @dataclass

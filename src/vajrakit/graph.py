@@ -7,7 +7,8 @@ Config format (line-oriented UTF-8, ``#`` comments):
     block <id> type=<kind> key=value ... from=<id[,id]>
 
 Kinds: conv_bn_act | merudanda_x | merudanda_bhag15 | attention_bhag6 |
-adown | sppf | upsample | concat. ``from=input`` reads the graph input.
+adown | sppf | upsample | concat. ``from=input`` reads the graph input;
+only ``concat`` takes more than one source.
 Every referenced id must be defined on an earlier line, which keeps the
 graph a DAG by construction.
 """
@@ -234,6 +235,8 @@ def parse_config(text: str):
             raise ConfigError(f"key(s) {sorted(bad)} not valid for {kind}", lineno)
         if inputs is None:
             raise ConfigError("missing from=", lineno)
+        if kind != "concat" and len(inputs) > 1:
+            raise ConfigError(f"{kind} takes one input, got {len(inputs)} in from=", lineno)
         for src in inputs:
             if src != "input" and src not in seen:
                 raise ConfigError(

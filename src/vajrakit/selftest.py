@@ -146,42 +146,11 @@ def check_cost_counter_equality():
     ]
     for blk in small:
         _randomize(blk, rng)
-        c_in = _block_c_in(blk)
-        x = rng.standard_normal((1, c_in, 8, 8)).astype(DTYPE)
+        x = rng.standard_normal((1, blk.c_in, 8, 8)).astype(DTYPE)
         with oracle.reference() as ref:
             blk.forward(x)
         tally, _, _ = block_tally(blk, 8, 8)
         assert ref.macs == tally.macs, f"{type(blk).__name__}: {ref.macs} != {tally.macs}"
-
-
-def _block_c_in(blk) -> int:
-    if isinstance(blk, (B.ConvBNAct, B.ConvAct)):
-        return blk.spec.c_in
-    if isinstance(blk, B.RepVGGBlock):
-        return blk.spec3.c_in
-    if isinstance(blk, B.RepCSP):
-        return blk.cv1.spec.c_in
-    if isinstance(blk, B.MerudandaX):
-        return blk.stem.spec.c_in
-    if isinstance(blk, (B.MerudandaDW, B.RepViTBlock)):
-        return blk.chain.cv1.spec.c_in
-    if isinstance(blk, B.DWChain):
-        return blk.cv1.spec.c_in
-    if isinstance(blk, B.SqueezeExcite):
-        return blk.fc1.spec.c_in
-    if isinstance(blk, B.MerudandaBhag15):
-        return blk.stem.spec.c_in
-    if isinstance(blk, B.SPPF):
-        return blk.cv1.spec.c_in
-    if isinstance(blk, B.AttentionV2):
-        return blk.v.spec.c_in
-    if isinstance(blk, B.AttentionBlockV2):
-        return blk.attn.v.spec.c_in
-    if isinstance(blk, B.AttentionBhag6):
-        return blk.sppf.cv1.spec.c_in
-    if isinstance(blk, B.ADown):
-        return blk.cv1.spec.c_in * 2
-    raise TypeError(type(blk).__name__)
 
 
 def check_store_roundtrip_and_idempotence():

@@ -3,6 +3,14 @@ import pytest
 
 from vajrakit.tensor import DTYPE, BNParams
 
+U = 2.0 ** -24  # float32 unit roundoff
+
+
+def gamma(n: int) -> float:
+    """Higham's gamma_n = n*u / (1 - n*u): the relative error bound of n
+    float32 roundings (Accuracy and Stability of Numerical Algorithms, ch. 3)."""
+    return n * U / (1.0 - n * U)
+
 
 @pytest.fixture
 def rng():

@@ -18,7 +18,6 @@ from vajrakit.cost import adown_cost, block_tally, conv_cost, graph_cost
 from vajrakit.graph import Model, parse_config
 from vajrakit.presets import REFERENCE_TOTALS, SCALES, load_preset, preset_text
 from vajrakit.reparam import reparam_graph, verify_equivalence
-from vajrakit.selftest import _block_c_in
 from vajrakit.tensor import DTYPE, ConvSpec
 from vajrakit.weights import WeightStore, init_weights
 
@@ -151,7 +150,7 @@ def test_criterion_3_cost_oracle_equality():
     ]
     for blk in kinds:
         randomize(blk, rng)
-        x = rand_input(rng, 1, _block_c_in(blk), 8, 8)
+        x = rand_input(rng, 1, blk.c_in, 8, 8)
         with oracle.reference() as ref:
             blk.forward(x)
         tally, _, _ = block_tally(blk, 8, 8)

@@ -71,6 +71,14 @@ block a type=sppf in=8 out=8 from=input  # trailing comment
             parse_config("block a type=sppf in=8 out=8 from=b\n"
                          "block b type=sppf in=8 out=8 from=input")
 
+    @pytest.mark.parametrize("kind", ["conv_bn_act k=1 s=1", "upsample"])
+    def test_fan_in_on_single_input_kind_rejected(self, kind):
+        attrs = "in=16 out=8 " if kind != "upsample" else ""
+        with pytest.raises(ConfigError, match="takes one input") as e:
+            parse_config("block a type=conv_bn_act in=3 out=8 k=1 s=1 from=input\n"
+                         f"block b type={kind} {attrs}from=a,a")
+        assert e.value.line == 2
+
     def test_channel_mismatch_diagnostic(self):
         with pytest.raises(ConfigError, match="carry"):
             parse_config("block a type=conv_bn_act in=3 out=8 k=1 s=1 from=input\n"

@@ -418,11 +418,19 @@ class TestDeterminism:
     ])
     def test_repeat_forward_bit_identical(self, make, rng):
         blk = randomize(make(), rng, with_bn=True)
-        x = rand_input(rng, 2, _input_channels(blk), 8, 8)
+        x = rand_input(rng, 2, blk.c_in, 8, 8)
         assert np.array_equal(blk.forward(x), blk.forward(x))
 
 
-def _input_channels(blk):
-    from vajrakit.selftest import _block_c_in
-
-    return _block_c_in(blk)
+class TestComposite:
+    @pytest.mark.parametrize("make", [
+        lambda: B.MerudandaX(8, 8, 2),
+        lambda: B.MerudandaBhag15(8, 8, 2, "repvit"),
+        lambda: B.AttentionBhag6(16, 16, 2, 2),
+        lambda: B.ADown(8, 8),
+    ])
+    def test_refusing_shares_every_array(self, make):
+        fused = make().fuse()
+        once = [(name, id(arr)) for name, arr, _ in fused.named_arrays("t")]
+        twice = [(name, id(arr)) for name, arr, _ in fused.fuse().named_arrays("t")]
+        assert once == twice

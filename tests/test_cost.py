@@ -18,7 +18,6 @@ from vajrakit.cost import (
     graph_cost,
 )
 from vajrakit.graph import parse_config
-from vajrakit.selftest import _block_c_in
 from vajrakit.tensor import DTYPE, ConvSpec, conv2d
 from vajrakit.weights import init_weights
 
@@ -157,7 +156,7 @@ class TestBlockCounterEquality:
     ])
     def test_analytic_equals_counter(self, make, rng):
         blk = randomize(make(), rng)
-        x = rand_input(rng, 1, _block_c_in(blk), 8, 8)
+        x = rand_input(rng, 1, blk.c_in, 8, 8)
         with oracle.reference() as ref:
             blk.forward(x)
         tally, _, _ = block_tally(blk, 8, 8)
@@ -167,7 +166,7 @@ class TestBlockCounterEquality:
         for make in (lambda: B.RepVGGBlock(8, 8), lambda: B.MerudandaX(8, 8, 1),
                      lambda: B.ADown(8, 8)):
             blk = randomize(make(), rng).fuse()
-            x = rand_input(rng, 1, _block_c_in(blk), 8, 8)
+            x = rand_input(rng, 1, blk.c_in, 8, 8)
             with oracle.reference() as ref:
                 blk.forward(x)
             tally, _, _ = block_tally(blk, 8, 8)

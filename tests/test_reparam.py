@@ -2,10 +2,11 @@
 import numpy as np
 import pytest
 
-from conftest import rand_bn, rand_input, randomize
+from conftest import U, gamma, rand_bn, rand_input, randomize
 from vajrakit import blocks as B
 from vajrakit.cost import block_tally, conv_cost
 from vajrakit.graph import Model, parse_config
+from vajrakit.oracle import conv2d_naive
 from vajrakit.reparam import (
     embed_kernel,
     fuse_conv_bn,
@@ -46,6 +47,16 @@ class TestFuseConvBN:
         assert np.array_equal(fused.bias, bn.beta)
 
     def test_equivalence_on_random_instances(self, rng):
+        # Both float32 paths, conv -> BN and the folded conv, are compared with
+        # a float64 conv -> BN evaluated on the oracle's float64-accumulated
+        # conv. With s = gamma / sqrt(var + eps) and K = k*k*c_in/groups, each
+        # path is within gamma_{K+c} * (sum|w||x| |s| + |mean s| + |beta|).
+        # c = 7 counts the roundings beyond the length-K dot product:
+        #   folded: var + eps, sqrt, divide (s), w * s (fold), bias add;
+        #   conv -> BN: the same three for s, x * s, + shift;
+        # plus one for the oracle rounding its sum to float32 and one for the
+        # float64 evaluation. The |mean s| and |beta| terms see at most
+        # 3 (s) + 1 (mean * s) + 2 (shift, add) + 1 (float64) = 7 roundings.
         for _ in range(10):
             g = int(rng.choice([1, 2]))
             spec = ConvSpec(4 * g, 6 * g, 3, 1, 1, groups=g)
@@ -53,9 +64,17 @@ class TestFuseConvBN:
             bn = rand_bn(rng, spec.c_out)
             fused = fuse_conv_bn(spec, w, None, bn)
             x = rand_input(rng, 2, spec.c_in, 7, 7)
-            a = batchnorm_infer(conv2d(x, spec, w), bn)
-            b = conv2d(x, fused.spec, fused.weights, fused.bias)
-            assert np.abs(a - b).max() <= 1e-5
+            s = bn.gamma.astype(np.float64) / np.sqrt(bn.var.astype(np.float64) + bn.eps)
+            mean, beta = (v.astype(np.float64)[None, :, None, None] for v in (bn.mean, bn.beta))
+            s = s[None, :, None, None]
+            ref = (conv2d_naive(x, spec, w).astype(np.float64) - mean) * s + beta
+            # the oracle rounds sum|w||x| to float32 once, so divide by 1 - u
+            acc = conv2d_naive(np.abs(x), spec, np.abs(w)).astype(np.float64) / (1.0 - U)
+            k = spec.k * spec.k * (spec.c_in // spec.groups)
+            bound = gamma(k + 7) * (acc * np.abs(s) + np.abs(mean * s) + np.abs(beta))
+            for y in (batchnorm_infer(conv2d(x, spec, w), bn),
+                      conv2d(x, fused.spec, fused.weights, fused.bias)):
+                assert np.all(np.abs(y - ref) <= bound)
 
     def test_nonpositive_denominator_rejected(self, rng):
         spec = ConvSpec(2, 2, 1)

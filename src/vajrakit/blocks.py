@@ -267,7 +267,7 @@ class DWChain(Composite):
         self.cv5 = ConvBNAct(c, c, 3, groups=c, eps=eps)
 
     def forward(self, x):
-        for _, cv in self.children():
+        for cv in (self.cv1, self.cv2, self.cv3, self.cv4, self.cv5):
             x = cv.forward(x)
         return x
 

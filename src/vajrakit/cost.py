@@ -121,21 +121,23 @@ def block_tally(block, h: int, w: int) -> tuple[Tally, int, int]:
         t.other += elems  # activation
         return t, ho, wo
 
-    # children run in declared order, each at its predecessor's output dims
-    if isinstance(block, B.SqueezeExcite):
-        ho, wo = 1, 1  # the gate convs act on the pooled channel vector
-    elif isinstance(block, B.ADown):
-        ho, wo = h - 1, w - 1  # both branches read the 2x2 stride-1 average pool
-    else:
-        ho, wo = h, w
-    for _, child in block.children():
-        sub, ho, wo = block_tally(child, ho, wo)
+    # Every child reads the block's input dims, whatever its place in CHILDREN,
+    # except SE's gate convs, which act on the pooled 1x1 vector, and ADown's
+    # branches: cv1 reads the (h-1)x(w-1) average pool, cv2 the 3x3 stride-2
+    # max pool of that. ADown is the only composite that changes spatial dims.
+    out_hw = conv_out_hw(h - 1, w - 1, 3, 2, 1) if isinstance(block, B.ADown) else (h, w)
+    for attr, child in block.children():
+        in_hw = (1, 1) if isinstance(block, B.SqueezeExcite) else (h, w)
+        if isinstance(block, B.ADown):
+            in_hw = (h - 1, w - 1) if attr == "cv1" else out_hw
+        sub, *child_hw = block_tally(child, *in_hw)
+        if tuple(child_hw) not in (in_hw, out_hw):
+            raise ValueError(f"{type(block).__name__}.{attr} changes spatial dims inside its block")
         t += sub
     macs, other = _OWN_WORK.get(type(block), lambda *_: (0, 0))(block, block.c_in, h, w)
     t.macs += macs
     t.other += other
-    # ADown is the only composite that changes spatial dims
-    return (t, ho, wo) if isinstance(block, B.ADown) else (t, h, w)
+    return (t, *out_hw)
 
 
 @dataclass

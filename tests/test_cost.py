@@ -184,6 +184,12 @@ class TestBlockCounterEquality:
             enumerated = sum(arr.size for _, arr, is_stat in blk.named_arrays("t") if not is_stat)
             assert tally.params == enumerated, type(blk).__name__
 
+    def test_child_that_changes_dims_is_rejected(self):
+        blk = B.DWChain(8)
+        blk.cv1 = B.ConvBNAct(8, 8, 3, 2)  # a stride-2 child inside a dims-keeping chain
+        with pytest.raises(ValueError, match=r"DWChain\.cv1 changes spatial dims"):
+            block_tally(blk, 8, 8)
+
     def test_batch_scaling_is_linear(self, rng):
         blk = randomize(B.ConvBNAct(4, 4, 3), rng)
         tally, _, _ = block_tally(blk, 6, 6)

@@ -126,13 +126,13 @@ def block_tally(block, h: int, w: int) -> tuple[Tally, int, int]:
     # branches: cv1 reads the (h-1)x(w-1) average pool, cv2 the 3x3 stride-2
     # max pool of that. ADown is the only composite that changes spatial dims.
     out_hw = conv_out_hw(h - 1, w - 1, 3, 2, 1) if isinstance(block, B.ADown) else (h, w)
-    for attr, child in block.children():
+    for seg, child in block.children():
         in_hw = (1, 1) if isinstance(block, B.SqueezeExcite) else (h, w)
         if isinstance(block, B.ADown):
-            in_hw = (h - 1, w - 1) if attr == "cv1" else out_hw
+            in_hw = (h - 1, w - 1) if seg == "cv1" else out_hw
         sub, *child_hw = block_tally(child, *in_hw)
         if tuple(child_hw) not in (in_hw, out_hw):
-            raise ValueError(f"{type(block).__name__}.{attr} changes spatial dims inside its block")
+            raise ValueError(f"{type(block).__name__}.{seg} changes spatial dims inside its block")
         t += sub
     macs, other = _OWN_WORK.get(type(block), lambda *_: (0, 0))(block, block.c_in, h, w)
     t.macs += macs

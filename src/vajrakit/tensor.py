@@ -5,6 +5,12 @@ convolution, pooling, inference-mode batchnorm, activations, softmax, batched
 matmul and channel split/concat. Tensors are plain numpy arrays of shape
 (n, c, h, w), float32 throughout; all ops are pure functions of their inputs.
 
+Dense convolution is im2col (a strided window view) + one BLAS matmul.
+Grouped and depthwise convolution accumulate one small contraction per
+kernel tap over shifted, strided views of the padded input. Pooling is a
+separable reduction: the k row-shifted slices, then the k column-shifted
+slices of that, folded with np.maximum or np.add.
+
 The heavy primitives (conv2d, pool2d, matmul_batched, softmax_lastdim) consult
 an overridable backend so the slow reference implementation in ``oracle.py``
 can be swapped in underneath whole blocks for equivalence checks and
@@ -153,11 +159,40 @@ def _windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
     )
 
 
-def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-    """Grouped 2-D convolution over NCHW, im2col + BLAS matmul.
+def _taps(a: np.ndarray, k: int, stride: int, length: int, axis: int) -> list[np.ndarray]:
+    """The k views of `a` shifted by 0..k-1 along `axis`, each taking every
+    stride-th entry, `length` of them. No copy."""
+    span = stride * (length - 1) + 1
+    lead = (slice(None),) * axis
+    return [a[lead + (slice(i, i + span, stride),)] for i in range(k)]
 
-    Elementwise agreement with the naive loop-nest in oracle.py is part of the
-    contract and enforced by the test suite.
+
+def _fold(taps: list[np.ndarray], ufunc) -> np.ndarray:
+    """Reduce equally shaped views with a binary ufunc into one new array."""
+    if len(taps) == 1:
+        return taps[0].copy()
+    acc = ufunc(taps[0], taps[1])
+    for t in taps[2:]:
+        ufunc(acc, t, out=acc)
+    return acc
+
+
+def _window_reduce(xp: np.ndarray, k: int, stride: int, ho: int, wo: int, ufunc) -> np.ndarray:
+    """Separable k x k window reduction: fold the k row-shifted slices, then the
+    k column-shifted slices of that. Exact for max; for add, each output is
+    a sum of k partial sums of k."""
+    rows = _fold(_taps(xp, k, stride, ho, 2), ufunc)
+    return _fold(_taps(rows, k, stride, wo, 3), ufunc)
+
+
+def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+    """Grouped 2-D convolution over NCHW.
+
+    Dense conv (groups == 1) is im2col + one BLAS matmul. Grouped and
+    depthwise conv accumulate k*k per-tap contractions over the shifted
+    stride-s views of the padded input. Elementwise agreement with the naive
+    loop-nest in oracle.py is part of the contract and enforced by the test
+    suite.
     """
     backend = _BACKEND.get()
     if backend is not None:
@@ -172,25 +207,26 @@ def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray 
         raise ShapeError("bias length must equal c_out")
 
     n, _, h, w = x.shape
-    ho, wo = conv_out_hw(h, w, spec.k, spec.stride, spec.padding)
+    k, s, g = spec.k, spec.stride, spec.groups
+    ho, wo = conv_out_hw(h, w, k, s, spec.padding)
     xp = _pad_hw(x, spec.padding)
-    win = _windows(xp, spec.k, spec.stride)  # (n, c_in, ho, wo, k, k)
 
-    if spec.groups == 1:
-        cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, spec.c_in * spec.k * spec.k, ho * wo)
-        wmat = weights.reshape(spec.c_out, -1)
-        out = np.matmul(wmat, cols).reshape(n, spec.c_out, ho, wo)
+    if g == 1:
+        win = _windows(xp, k, s)  # (n, c_in, ho, wo, k, k)
+        cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, spec.c_in * k * k, ho * wo)
+        out = np.matmul(weights.reshape(spec.c_out, -1), cols)
     else:
-        g = spec.groups
-        cg = spec.c_in // g
-        og = spec.c_out // g
-        wing = win.reshape(n, g, cg, ho, wo, spec.k, spec.k)
-        wg = weights.reshape(g, og, cg, spec.k, spec.k)
-        # (n, g, og, ho, wo) accumulated over (cg, k, k)
-        out = np.einsum("ngchwij,gocij->ngohw", wing, wg, optimize=True)
-        out = out.reshape(n, spec.c_out, ho, wo)
+        xg = xp.reshape(n, g, spec.c_in // g, *xp.shape[2:])
+        wg = weights.reshape(g, spec.c_out // g, spec.c_in // g, k, k)
+        # per tap: (g, og, cg) x (n, g, cg, ho, wo) -> (n, g, og, ho, wo)
+        terms = (np.einsum("goc,ngchw->ngohw", wg[..., i, j], tap)
+                 for i, rows in enumerate(_taps(xg, k, s, ho, 3))
+                 for j, tap in enumerate(_taps(rows, k, s, wo, 4)))
+        out = next(terms)
+        for term in terms:
+            out += term
 
-    out = np.ascontiguousarray(out, dtype=DTYPE)
+    out = np.ascontiguousarray(out.reshape(n, spec.c_out, ho, wo), dtype=DTYPE)
     if bias is not None:
         out += np.asarray(bias, DTYPE)[None, :, None, None]
     return out
@@ -204,8 +240,11 @@ def pool2d(
     padding: int = 0,
     include_pad: bool = True,
 ) -> np.ndarray:
-    """Average or max pooling. Max pads with -inf so padding never wins;
-    average counts the full window unless include_pad=False."""
+    """Average or max pooling as a separable reduction: the k row-shifted
+    slices of the padded input, then the k column-shifted slices of that.
+    Max pads with -inf so padding never wins, and rounds nothing; average
+    divides the sum by the full window k*k unless include_pad=False, then
+    by the count of real entries, reduced the same way over padded ones."""
     backend = _BACKEND.get()
     if backend is not None:
         return backend.pool2d(x, kind, k, stride, padding, include_pad)
@@ -213,19 +252,17 @@ def pool2d(
     check_tensor4(x, "pool input")
     if kind not in ("avg", "max"):
         raise ValueError(f"pool kind must be avg|max, got {kind!r}")
-    n, c, h, w = x.shape
-    conv_out_hw(h, w, k, stride, padding)  # geometry check
+    h, w = x.shape[2:]
+    ho, wo = conv_out_hw(h, w, k, stride, padding)
     if kind == "max":
-        xp = _pad_hw(x, padding, value=-np.inf)
-        win = _windows(xp, k, stride)
-        return np.ascontiguousarray(win.max(axis=(4, 5)), dtype=DTYPE)
-    xp = _pad_hw(x, padding)
-    win = _windows(xp, k, stride)
+        return _window_reduce(_pad_hw(x, padding, value=-np.inf), k, stride, ho, wo, np.maximum)
+    out = _window_reduce(_pad_hw(x, padding), k, stride, ho, wo, np.add)
     if include_pad or padding == 0:
-        return np.ascontiguousarray(win.mean(axis=(4, 5), dtype=DTYPE))
-    ones = _pad_hw(np.ones_like(x), padding)
-    counts = _windows(ones, k, stride).sum(axis=(4, 5), dtype=DTYPE)
-    return np.ascontiguousarray(win.sum(axis=(4, 5), dtype=DTYPE) / counts)
+        out /= DTYPE(k * k)
+    else:
+        ones = _pad_hw(np.ones((1, 1, h, w), DTYPE), padding)
+        out /= _window_reduce(ones, k, stride, ho, wo, np.add)
+    return out
 
 
 def batchnorm_infer(x: np.ndarray, bn: BNParams) -> np.ndarray:
@@ -242,7 +279,7 @@ def batchnorm_infer(x: np.ndarray, bn: BNParams) -> np.ndarray:
 
 def sigmoid(t: np.ndarray) -> np.ndarray:
     # tanh form avoids exp overflow warnings for large negative inputs
-    return (DTYPE(0.5) * np.tanh(np.asarray(t, DTYPE) * DTYPE(0.5)) + DTYPE(0.5)).astype(DTYPE)
+    return DTYPE(0.5) * np.tanh(np.asarray(t, DTYPE) * DTYPE(0.5)) + DTYPE(0.5)
 
 
 def activation(x: np.ndarray, kind: str) -> np.ndarray:

@@ -1,8 +1,11 @@
 """Tensor-core ops: worked examples, oracle agreement, invariants."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import rand_bn, rand_input
+from conftest import U, gamma, rand_bn, rand_input
 from vajrakit import oracle
 from vajrakit.tensor import (
     DTYPE,
@@ -18,6 +21,7 @@ from vajrakit.tensor import (
     global_avg_pool,
     matmul_batched,
     pool2d,
+    sigmoid,
     softmax_lastdim,
     split_channels,
     tensor4,
@@ -105,6 +109,46 @@ class TestConv2d:
         assert np.array_equal(conv2d(x, spec, w), conv2d(x, spec, w))
 
 
+class TestConv2dDerivedBound:
+    # The fast path sums each output's K = k*k*c_in/groups products in some
+    # float32 order: within gamma_K * sum|w||x| of the exact value (Higham
+    # eq. 3.5). The oracle accumulates in float64 and rounds once (u), and
+    # sum|w||x| comes from it rounded to float32, hence the / (1 - u); three
+    # spare roundings give gamma_{K+3}, the perfbench gate's bound.
+    @staticmethod
+    def _check(rng, spec, h, w_):
+        x = rand_input(rng, 2, spec.c_in, h, w_)
+        w = rng.standard_normal(spec.weight_shape).astype(DTYPE)
+        ref = oracle.conv2d_naive(x, spec, w).astype(np.float64)
+        acc = oracle.conv2d_naive(np.abs(x), spec, np.abs(w)).astype(np.float64) / (1.0 - U)
+        k = spec.k * spec.k * (spec.c_in // spec.groups)
+        fast = conv2d(x, spec, w)
+        assert fast.shape == ref.shape
+        assert np.all(np.abs(fast - ref) <= gamma(k + 3) * acc), spec
+
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_depthwise(self, rng, k, stride):
+        self._check(rng, ConvSpec(5, 5, k, stride, k // 2, groups=5), 11, 9)
+
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_general_groups(self, rng, k, stride, g):
+        # c_in/g = 2 and c_out/g = 3: a real contraction per group
+        self._check(rng, ConvSpec(2 * g, 3 * g, k, stride, k // 2, groups=g), 10, 12)
+
+    def test_unpadded_grouped_with_bias_matches_oracle(self, rng):
+        spec = ConvSpec(4, 6, 3, 2, 0, groups=2, has_bias=True)
+        x = rand_input(rng, 1, 4, 9, 8)
+        w = rng.standard_normal(spec.weight_shape).astype(DTYPE)
+        b = rng.standard_normal(6).astype(DTYPE)
+        ref = oracle.conv2d_naive(x, spec, w, b).astype(np.float64)
+        acc = oracle.conv2d_naive(np.abs(x), spec, np.abs(w), np.abs(b)).astype(np.float64) / (1.0 - U)
+        # the bias add is one more rounding: gamma_{K+4}
+        assert np.all(np.abs(conv2d(x, spec, w, b) - ref) <= gamma(3 * 3 * 2 + 4) * acc)
+
+
 class TestShapeArithmetic:
     def test_fuzz_200_geometries(self, rng):
         for _ in range(200):
@@ -166,6 +210,49 @@ class TestPool2d:
             pool2d(rand_input(rng, 1, 1, 4, 4), "median", 2, 1, 0)
 
 
+    @pytest.mark.parametrize("k", [2, 3, 5, 7])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("include_pad", [True, False])
+    def test_avg_within_derived_bound(self, rng, k, stride, include_pad):
+        # A float32 sum of the window's K = k*k entries in any order is within
+        # gamma_{K-1} * sum|x|; the divide adds u and the oracle's rounding of
+        # its float64 mean another: gamma_{K+1} * mean|x|, with mean|x| from
+        # the oracle rounded to float32 (/ (1 - u)) and spare roundings up to
+        # the perfbench gate's gamma_{K+3}.
+        x = rand_input(rng, 2, 3, 11, 10)
+        for p in range(k // 2 + 1):
+            ref = oracle.pool2d_naive(x, "avg", k, stride, p, include_pad).astype(np.float64)
+            mean_abs = oracle.pool2d_naive(np.abs(x), "avg", k, stride, p, include_pad)
+            bound = gamma(k * k + 3) * mean_abs.astype(np.float64) / (1.0 - U)
+            fast = pool2d(x, "avg", k, stride, p, include_pad)
+            assert fast.shape == ref.shape and fast.dtype == DTYPE
+            assert np.all(np.abs(fast - ref) <= bound), (k, stride, p)
+
+    @pytest.mark.parametrize("k,stride,padding", [(5, 1, 2), (3, 2, 1), (2, 1, 0)])
+    def test_max_preset_geometries_exact(self, rng, k, stride, padding):
+        # SPPF 5/1/2, ADown 3/2/1; 2/1/0 is ADown's avg geometry run as max
+        for x in (rand_input(rng, 2, 4, 13, 12), -np.abs(rand_input(rng, 2, 4, 13, 12)) - 1):
+            assert np.array_equal(pool2d(x, "max", k, stride, padding),
+                                  oracle.pool2d_naive(x, "max", k, stride, padding))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), k=st.sampled_from([2, 3, 5]), stride=st.sampled_from([1, 2]),
+           negative=st.booleans())
+    def test_max_equals_oracle_exactly(self, data, k, stride, negative):
+        # a maximum rounds nothing, so no tolerance; with all-negative inputs
+        # a -inf pad that won any window would show as -inf in the output
+        padding = data.draw(st.integers(0, k // 2), label="padding")
+        h = data.draw(st.integers(max(1, k - 2 * padding), 9), label="h")
+        w_ = data.draw(st.integers(max(1, k - 2 * padding), 9), label="w")
+        x = data.draw(arrays(DTYPE, (1, 2, h, w_),
+                             elements=st.floats(-1e6, 1e6, width=32)), label="x")
+        if negative:
+            x = -np.abs(x) - DTYPE(1)
+        fast = pool2d(x, "max", k, stride, padding)
+        assert np.array_equal(fast, oracle.pool2d_naive(x, "max", k, stride, padding))
+        assert np.isfinite(fast).all()
+
+
 class TestBatchNorm:
     def test_identity_statistics(self, rng):
         x = rand_input(rng, 2, 4, 3, 3)
@@ -219,6 +306,15 @@ class TestActivation:
     def test_unknown_kind(self, rng):
         with pytest.raises(ValueError):
             activation(rand_input(rng, 1, 1, 1, 1), "relu")
+
+    def test_sigmoid_is_float32_and_matches_tanh_form(self, rng):
+        old = lambda t: (DTYPE(0.5) * np.tanh(t * DTYPE(0.5)) + DTYPE(0.5)).astype(DTYPE)
+        extremes = np.array([0.0, -0.0, 1e-45, -1e-45, 88.7, -88.7, 1e4, -1e4,
+                             3.4e38, -3.4e38, np.inf, -np.inf], DTYPE).reshape(1, 1, 3, 4)
+        for x in (rand_input(rng, 2, 3, 5, 5) * DTYPE(8), extremes):
+            y = sigmoid(x)
+            assert y.dtype == DTYPE
+            assert np.array_equal(y, old(x))
 
     def test_finite_on_extremes(self):
         x = np.array([[[[-1e4, 1e4]]]], DTYPE)

@@ -410,40 +410,61 @@ class Model:
                            f"e.g. {sorted(extra)[0]!r}")
         return self
 
-    def forward(self, x: np.ndarray) -> dict:
-        """Run the graph; returns node id -> output for every node."""
+    def _walk(self, x: np.ndarray):
+        """Run the graph in node order, yielding (node, output) per node.
+
+        The walk itself holds an output only until its last consumer has
+        collected its inputs; a caller that needs one longer keeps its own
+        reference, and should drop the ones it does not before resuming."""
         check_tensor4(x, "model input")
         expect = self.graph.input_channels
         if expect is not None and x.shape[1] != expect:
             stem = self.graph.input_consumers()[0]
             raise ShapeError(
                 f"input has {x.shape[1]} channels but node '{stem.id}' expects {expect}")
-        outs = {"input": x}
-        for node in self.graph.nodes:
-            srcs = [outs[s] for s in node.inputs]
+        last_use = {s: i for i, node in enumerate(self.graph.nodes) for s in node.inputs}
+        live = {"input": x}
+        for i, node in enumerate(self.graph.nodes):
+            srcs = [live[s] for s in node.inputs]
+            for s in node.inputs:
+                if last_use[s] == i:
+                    live.pop(s, None)  # a concat may name one source twice
             try:
                 if node.kind == "concat":
-                    outs[node.id] = concat_channels(srcs)
+                    y = concat_channels(srcs)
                 elif node.kind == "upsample":
-                    outs[node.id] = upsample_nearest(srcs[0])
+                    y = upsample_nearest(srcs[0])
                 else:
-                    outs[node.id] = self.blocks[node.id].forward(srcs[0])
+                    y = self.blocks[node.id].forward(srcs[0])
             except (ValueError, ShapeError) as e:
                 raise ShapeError(f"node '{node.id}': {e}") from None
+            if node.id in last_use:
+                live[node.id] = y
+            yield node, y
+            del y
+
+    def forward(self, x: np.ndarray) -> dict:
+        """Run the graph; returns node id -> output for every node, all of
+        them held until the pass ends (see stage_outputs for the lean run)."""
+        outs = {"input": x}
+        for node, y in self._walk(x):
+            outs[node.id] = y
         return outs
 
     def stage_outputs(self, x: np.ndarray) -> dict:
         """Map stage tag -> output of the last node carrying that tag; for an
-        untagged graph, the final node's output under its id."""
-        outs = self.forward(x)
-        tagged = {}
-        for node in self.graph.nodes:
+        untagged graph, the final node's output under its id. Each
+        intermediate is dropped once its last consumer has collected its
+        inputs, so only those still needed and the tagged ones are alive."""
+        final = self.graph.nodes[-1]
+        tagged, last = {}, {}
+        for node, y in self._walk(x):
             if node.stage is not None:
-                tagged[node.stage] = outs[node.id]
-        if not tagged:
-            last = self.graph.nodes[-1]
-            return {last.id: outs[last.id]}
-        return tagged
+                tagged[node.stage] = y
+            if node is final:
+                last[node.id] = y
+            del y
+        return tagged or last
 
     def fuse(self) -> "Model":
         fused_graph = ModelGraph(self.graph.nodes, self.graph.scale, fused=True)

@@ -211,6 +211,21 @@ def check_conv_linearity_and_shapes():
         assert out.shape[2:] == conv_out_hw(h, w_, k, s, p)
 
 
+def check_stage_outputs_match_forward():
+    graph, _ = load_preset("N")
+    model = Model(graph).bind(init_weights(graph, 0))
+    x = np.random.default_rng(5).standard_normal((1, 3, 64, 64)).astype(DTYPE)
+    outs = model.forward(x)
+    want = {}
+    for node in graph.nodes:
+        if node.stage is not None:
+            want[node.stage] = outs[node.id]
+    got = model.stage_outputs(x)
+    assert list(got) == list(want), f"stage tags {list(got)} != {list(want)}"
+    for tag, y in want.items():
+        assert np.array_equal(got[tag], y), f"stage {tag} differs from forward"
+
+
 CHECKS = [
     ("tensor-core: conv vs naive loop nest", check_conv_matches_loop_nest),
     ("tensor-core: pooling and softmax examples", check_pool_and_softmax),
@@ -223,6 +238,7 @@ CHECKS = [
     ("cost-model: analytic MACs == counter", check_cost_counter_equality),
     ("assembly: store roundtrip + idempotent fusion", check_store_roundtrip_and_idempotence),
     ("assembly: shipped presets valid", check_presets),
+    ("assembly: stage_outputs equals forward's tagged outputs", check_stage_outputs_match_forward),
 ]
 
 

@@ -5,7 +5,10 @@ convolution, pooling, inference-mode batchnorm, activations, softmax, batched
 matmul and channel split/concat. Tensors are plain numpy arrays of shape
 (n, c, h, w), float32 throughout; all ops are pure functions of their inputs.
 
-Dense convolution is im2col (a strided window view) + one BLAS matmul.
+Dense convolution is a BLAS matmul over the im2col patch matrix, built one
+bounded row tile at a time straight from the unpadded input (zeros where a
+tap falls in the padding) and multiplied into its slice of the output; a
+1x1 stride-1 unpadded conv multiplies a reshape of the input, with no copy.
 Grouped and depthwise convolution accumulate one small contraction per
 kernel tap over shifted, strided views of the padded input. Pooling is a
 separable reduction: the k row-shifted slices, then the k column-shifted
@@ -145,20 +148,6 @@ def _pad_hw(x: np.ndarray, p: int, value: float = 0.0) -> np.ndarray:
     return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=DTYPE(value))
 
 
-def _windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """View of all k x k windows: shape (n, c, h_out, w_out, k, k). No copy."""
-    n, c, h, w = x.shape
-    ho = (h - k) // stride + 1
-    wo = (w - k) // stride + 1
-    sn, sc, sh, sw = x.strides
-    return np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, ho, wo, k, k),
-        strides=(sn, sc, stride * sh, stride * sw, sh, sw),
-        writeable=False,
-    )
-
-
 def _taps(a: np.ndarray, k: int, stride: int, length: int, axis: int) -> list[np.ndarray]:
     """The k views of `a` shifted by 0..k-1 along `axis`, each taking every
     stride-th entry, `length` of them. No copy."""
@@ -185,10 +174,66 @@ def _window_reduce(xp: np.ndarray, k: int, stride: int, ho: int, wo: int, ufunc)
     return _fold(_taps(rows, k, stride, wo, 3), ufunc)
 
 
+# Bytes of patch matrix built at a time by dense conv. Each tile feeds one
+# GEMM of width rows * w_out: smaller tiles give narrow GEMMs that BLAS runs
+# slowly, larger ones fall out of cache before the GEMM reads them. Summed
+# over the dense convs of presets N@640 and X@256 (best of 9 per call, two
+# sweeps; 2-vCPU Xeon, 2 MB L2 per core, OpenBLAS 0.3.31), 1 MB tiles were
+# 15-19% slower than 4 MB; 16 MB tiles were 21-43% slower on N and 0.5-8%
+# slower on X.
+TILE_BYTES = 4 << 20
+
+
+def _valid(shift: int, size: int, stride: int, start: int, count: int) -> tuple[int, int]:
+    """The range [a, b) of t in [0, count) with (start + t) * stride + shift
+    inside [0, size): where a tap reads the input rather than the padding."""
+    a = min(max(-(shift // stride) - start, 0), count)
+    b = min(max((size - shift + stride - 1) // stride - start, a), count)
+    return a, b
+
+
+def _dense_conv(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, ho: int, wo: int) -> np.ndarray:
+    """(n, c_out, ho*wo) = weights (c_out, c_in*k*k) @ the im2col patch matrix
+    of each image, whose rows are (channel, tap row, tap column) and whose
+    columns are output sites. The patch matrix is built TILE_BYTES at a time,
+    a band of whole output rows per tile, straight from the unpadded input."""
+    n, c, h, w = x.shape
+    k, s, p = spec.k, spec.stride, spec.padding
+    wmat = weights.reshape(spec.c_out, c * k * k)
+    if k == 1 and s == 1 and p == 0:
+        return np.matmul(wmat, x.reshape(n, c, h * w))  # a view of x; no copy
+    band = min(ho, max(1, TILE_BYTES // (c * k * k * wo * x.itemsize)))
+    # a tap's padding columns are the same in every band, never written and
+    # so zero from here on; its padding rows differ per band and are zeroed
+    # where they fall
+    buf = np.zeros((c, k, k, band, wo), DTYPE)
+    cols = [_valid(j - p, w, s, 0, wo) for j in range(k)]
+    out = np.empty((n, spec.c_out, ho * wo), DTYPE)
+    for b in range(n):
+        for r0 in range(0, ho, band):
+            rows = min(band, ho - r0)
+            tile = buf[:, :, :, :rows]
+            for i in range(k):
+                ra, rb = _valid(i - p, h, s, r0, rows)
+                src = x[b, :, (r0 + ra) * s + i - p:(r0 + rb - 1) * s + i - p + 1:s]
+                for j, (qa, qb) in enumerate(cols):
+                    dst = tile[:, i, j]
+                    if ra:
+                        dst[:, :ra] = 0
+                    if rb < rows:
+                        dst[:, rb:] = 0
+                    if ra < rb and qa < qb:
+                        dst[:, ra:rb, qa:qb] = src[:, :, qa * s + j - p:(qb - 1) * s + j - p + 1:s]
+            np.matmul(wmat, tile.reshape(c * k * k, rows * wo), out=out[b, :, r0 * wo:(r0 + rows) * wo])
+    return out
+
+
 def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
     """Grouped 2-D convolution over NCHW.
 
-    Dense conv (groups == 1) is im2col + one BLAS matmul. Grouped and
+    Dense conv (groups == 1) is im2col + BLAS matmul, with the patch matrix
+    built in row tiles of TILE_BYTES from the unpadded input and each tile
+    multiplied into its slice of a preallocated output. Grouped and
     depthwise conv accumulate k*k per-tap contractions over the shifted
     stride-s views of the padded input. Elementwise agreement with the naive
     loop-nest in oracle.py is part of the contract and enforced by the test
@@ -209,13 +254,11 @@ def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray 
     n, _, h, w = x.shape
     k, s, g = spec.k, spec.stride, spec.groups
     ho, wo = conv_out_hw(h, w, k, s, spec.padding)
-    xp = _pad_hw(x, spec.padding)
 
     if g == 1:
-        win = _windows(xp, k, s)  # (n, c_in, ho, wo, k, k)
-        cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, spec.c_in * k * k, ho * wo)
-        out = np.matmul(weights.reshape(spec.c_out, -1), cols)
+        out = _dense_conv(x, spec, weights, ho, wo)
     else:
+        xp = _pad_hw(x, spec.padding)
         xg = xp.reshape(n, g, spec.c_in // g, *xp.shape[2:])
         wg = weights.reshape(g, spec.c_out // g, spec.c_in // g, k, k)
         # per tap: (g, og, cg) x (n, g, cg, ho, wo) -> (n, g, og, ho, wo)
@@ -278,18 +321,26 @@ def batchnorm_infer(x: np.ndarray, bn: BNParams) -> np.ndarray:
 
 
 def sigmoid(t: np.ndarray) -> np.ndarray:
-    # tanh form avoids exp overflow warnings for large negative inputs
-    return DTYPE(0.5) * np.tanh(np.asarray(t, DTYPE) * DTYPE(0.5)) + DTYPE(0.5)
+    # tanh form avoids exp overflow warnings for large negative inputs;
+    # 0.5 * tanh(t * 0.5) + 0.5 in one new buffer, the same roundings
+    y = np.asarray(t, DTYPE) * DTYPE(0.5)
+    np.tanh(y, out=y)
+    y *= DTYPE(0.5)
+    y += DTYPE(0.5)
+    return y
 
 
 def activation(x: np.ndarray, kind: str) -> np.ndarray:
-    """Elementwise silu | sigmoid | identity; silu(t) = t * sigmoid(t)."""
+    """Elementwise silu | sigmoid | identity; silu(t) = t * sigmoid(t),
+    computed in the sigmoid's buffer."""
     if kind == "identity":
         return x
     if kind == "sigmoid":
         return sigmoid(x)
     if kind == "silu":
-        return x * sigmoid(x)
+        y = sigmoid(x)
+        y *= x
+        return y
     raise ValueError(f"unknown activation {kind!r}")
 
 

@@ -1,10 +1,12 @@
 """Config parsing, scale invariants, weight persistence, graph execution."""
 import struct
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import rand_input
+from vajrakit import graph as graph_module
 from vajrakit.graph import (
     ConfigError,
     Model,
@@ -15,6 +17,7 @@ from vajrakit.graph import (
     serialize_config,
 )
 from vajrakit.presets import REFERENCE_TOTALS, SCALES, load_preset, preset_text
+from vajrakit.reparam import reparam_graph
 from vajrakit.tensor import DTYPE, ShapeError
 from vajrakit.weights import WeightFormatError, WeightStore, init_weights
 
@@ -455,3 +458,135 @@ block d type=conv_bn_act in=8 out=8 k=1 s=1 from=cat
         model = Model(graph).bind(init_weights(graph, 0))
         with pytest.raises(ShapeError):
             model.forward(rng.standard_normal((8, 8)).astype(DTYPE))
+
+
+# Hand-built graphs for the liveness walk, one case each.
+LIVENESS_GRAPHS = {
+    "input fanned out": """
+block a type=conv_bn_act in=3 out=4 k=3 s=1 from=input
+block b type=conv_bn_act in=3 out=4 k=1 s=1 from=input
+block c type=sppf in=3 out=4 from=input
+block cat type=concat stage=P3 from=a,b,c
+""",
+    "concat names one source twice": """
+block a type=conv_bn_act in=3 out=4 k=3 s=2 from=input
+block b type=conv_bn_act in=4 out=4 k=1 s=1 from=a
+block cat type=concat from=b,a,b
+block c type=conv_bn_act in=12 out=4 k=1 s=1 stage=P3 from=cat
+""",
+    "tagged node consumed later": """
+block a type=conv_bn_act in=3 out=4 k=3 s=2 stage=S1 from=input
+block b type=conv_bn_act in=4 out=4 k=3 s=1 from=a
+block up type=upsample from=b
+block c type=adown in=4 out=8 stage=S2 from=up
+block d type=conv_bn_act in=4 out=4 k=1 s=1 stage=S3 from=a
+""",
+    "two nodes share a stage tag": """
+block a type=conv_bn_act in=3 out=4 k=3 s=1 stage=P3 from=input
+block b type=conv_bn_act in=3 out=4 k=1 s=1 from=input
+block c type=conv_bn_act in=4 out=4 k=3 s=1 stage=P3 from=b
+block d type=conv_bn_act in=4 out=4 k=1 s=1 stage=P4 from=c
+""",
+    "output nobody reads": """
+block a type=conv_bn_act in=3 out=4 k=3 s=1 from=input
+block b type=conv_bn_act in=3 out=4 k=1 s=1 from=input
+block c type=conv_bn_act in=4 out=4 k=3 s=1 stage=P3 from=a
+block d type=conv_bn_act in=4 out=4 k=1 s=1 stage=P4 from=c
+""",
+    "untagged": """
+block a type=conv_bn_act in=3 out=4 k=3 s=2 from=input
+block b type=sppf in=4 out=4 from=a
+block c type=concat from=a,b
+block d type=conv_bn_act in=8 out=4 k=1 s=1 from=c
+""",
+}
+
+LIVENESS_CASES = [f"{scale} {form}" for scale in SCALES for form in ("train", "fused")] + list(LIVENESS_GRAPHS)
+
+
+def _liveness_case(label):
+    """(bound model, input): a preset in train or fused form at 1x3x64x64,
+    or a hand-built graph at 1x3x16x16."""
+    if label in LIVENESS_GRAPHS:
+        graph, _ = parse_config(LIVENESS_GRAPHS[label])
+        x = np.random.default_rng(4).standard_normal((1, 3, 16, 16)).astype(DTYPE)
+        return Model(graph).bind(init_weights(graph, 0)), x
+    scale, form = label.split()
+    graph, _ = load_preset(scale)
+    store = init_weights(graph, 0)
+    if form == "fused":
+        graph, store = reparam_graph(graph, store)
+    x = np.random.default_rng(3).standard_normal((1, 3, 64, 64)).astype(DTYPE)
+    return Model(graph).bind(store), x
+
+
+def _tagged_from_forward(model, x):
+    """stage_outputs' contract, restated over forward()'s every-node dict."""
+    outs = model.forward(x)
+    want = {}
+    for node in model.graph.nodes:
+        if node.stage is not None:
+            want[node.stage] = outs[node.id]
+    final = model.graph.nodes[-1].id
+    return want or {final: outs[final]}
+
+
+class TestLiveness:
+    @pytest.mark.parametrize("label", LIVENESS_CASES)
+    def test_stage_outputs_equal_forward_tagged(self, label):
+        model, x = _liveness_case(label)
+        got = model.stage_outputs(x)
+        want = _tagged_from_forward(model, x)
+        assert list(got) == list(want)
+        for tag in want:
+            assert got[tag].dtype == want[tag].dtype
+            assert np.array_equal(got[tag], want[tag]), tag
+
+    @pytest.mark.parametrize("label", LIVENESS_CASES)
+    def test_only_needed_outputs_alive(self, label, monkeypatch):
+        # Every node output is recorded by weakref: block outputs through a
+        # stand-in for each Model.blocks entry, concat and upsample outputs
+        # through the graph module's own names. At the start of node i the
+        # earlier outputs alive must be exactly those a node >= i still
+        # reads, plus the latest node of each stage tag so far; once the
+        # pass returns, exactly the outputs it returned.
+        model, x = _liveness_case(label)
+        nodes = model.graph.nodes
+        last_use = {s: i for i, node in enumerate(nodes) for s in node.inputs}
+        refs = []
+        mismatches = []
+
+        def needed(i):
+            latest = {}
+            for j in range(i):
+                if nodes[j].stage is not None:
+                    latest[nodes[j].stage] = j
+            return {j for j in range(i) if last_use.get(nodes[j].id, -1) >= i} | set(latest.values())
+
+        def alive():
+            return {j for j, ref in enumerate(refs) if ref() is not None}
+
+        def recorded(fn):
+            def run(*args):
+                i = len(refs)
+                if alive() != needed(i):
+                    extra = sorted(nodes[j].id for j in alive() - needed(i))
+                    mismatches.append((nodes[i].id, extra))
+                y = fn(*args)
+                refs.append(weakref.ref(y))
+                return y
+            return run
+
+        class Recorded:
+            def __init__(self, block):
+                self.forward = recorded(block.forward)
+
+        model.blocks = {nid: (Recorded(b) if b is not None else None)
+                        for nid, b in model.blocks.items()}
+        monkeypatch.setattr(graph_module, "concat_channels", recorded(graph_module.concat_channels))
+        monkeypatch.setattr(graph_module, "upsample_nearest", recorded(graph_module.upsample_nearest))
+        outs = model.stage_outputs(x)
+        assert len(refs) == len(nodes)
+        assert mismatches == []
+        assert alive() == {j for j, ref in enumerate(refs)
+                           if any(ref() is y for y in outs.values())}

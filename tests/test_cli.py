@@ -185,7 +185,7 @@ class TestSelftestAndUsage:
     def test_selftest_green(self):
         code, out, _ = run_cli("selftest")
         assert code == 0
-        assert "11/11 suites passed" in out
+        assert "12/12 suites passed" in out
         assert "FAIL" not in out
 
     def test_unknown_command_is_usage_error(self):

@@ -1,4 +1,6 @@
 """Tensor-core ops: worked examples, oracle agreement, invariants."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import U, gamma, rand_bn, rand_input
-from vajrakit import oracle
+from vajrakit import oracle, tensor
 from vajrakit.tensor import (
     DTYPE,
     BNParams,
@@ -27,6 +29,18 @@ from vajrakit.tensor import (
     tensor4,
     upsample_nearest,
 )
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes tracemalloc sees during one call of fn, after a warm-up
+    call so that lazily allocated state is not counted."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestConv2d:
@@ -137,6 +151,39 @@ class TestConv2dDerivedBound:
     def test_general_groups(self, rng, k, stride, g):
         # c_in/g = 2 and c_out/g = 3: a real contraction per group
         self._check(rng, ConvSpec(2 * g, 3 * g, k, stride, k // 2, groups=g), 10, 12)
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", ["none", "half"])
+    def test_dense(self, rng, k, stride, pad):
+        self._check(rng, ConvSpec(3, 4, k, stride, k // 2 if pad == "half" else 0), 11, 9)
+
+    # (c_in, c_out, k, stride, padding, h, w): wide channels on small maps
+    # keep the loop-nest oracle fast while the patch matrix spans several
+    # tiles; the last one clamps a tile to a single output row.
+    MULTI_TILE = [
+        (512, 2, 3, 1, 1, 30, 28),
+        (512, 2, 3, 2, 1, 61, 50),
+        (256, 3, 5, 1, 2, 40, 24),
+        (128, 2, 7, 1, 0, 9, 176),
+    ]
+
+    @pytest.mark.parametrize("c_in,c_out,k,stride,padding,h,w_", MULTI_TILE)
+    def test_dense_patch_matrix_over_several_tiles(self, rng, c_in, c_out, k, stride, padding, h, w_):
+        spec = ConvSpec(c_in, c_out, k, stride, padding)
+        ho, wo = conv_out_hw(h, w_, k, stride, padding)
+        row_bytes = c_in * k * k * wo * np.dtype(DTYPE).itemsize
+        band = max(1, tensor.TILE_BYTES // row_bytes)
+        assert ho * row_bytes >= 3 * tensor.TILE_BYTES
+        assert -(-ho // band) >= 3 and (ho % band != 0 or band == 1)
+        self._check(rng, spec, h, w_)
+
+    def test_dense_peak_memory_under_half_the_patch_matrix(self, rng):
+        spec = ConvSpec(32, 16, 3, 1, 1)
+        x = rand_input(rng, 1, 32, 128, 128)
+        w = rng.standard_normal(spec.weight_shape).astype(DTYPE)
+        patch_bytes = 32 * 3 * 3 * 128 * 128 * x.itemsize  # 18.9 MB
+        assert _traced_peak(lambda: conv2d(x, spec, w)) < patch_bytes / 2
 
     def test_unpadded_grouped_with_bias_matches_oracle(self, rng):
         spec = ConvSpec(4, 6, 3, 2, 0, groups=2, has_bias=True)
@@ -315,6 +362,22 @@ class TestActivation:
             y = sigmoid(x)
             assert y.dtype == DTYPE
             assert np.array_equal(y, old(x))
+
+    def test_silu_is_float32_equals_x_times_sigmoid_and_leaves_x(self, rng):
+        extremes = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 3.4e38, -3.4e38,
+                             1e-45, -1e-45, 1e-40, -1e-40, 88.7], DTYPE).reshape(1, 1, 3, 4)
+        for x in (rand_input(rng, 2, 3, 5, 5) * DTYPE(8), extremes):
+            before = x.copy()
+            with np.errstate(invalid="ignore"):  # -inf * 0 is NaN
+                y = activation(x, "silu")
+                want = x * sigmoid(x)
+            assert y.dtype == DTYPE
+            assert np.array_equal(y, want, equal_nan=True)
+            assert np.array_equal(x, before, equal_nan=True)
+
+    def test_silu_allocates_only_its_output(self, rng):
+        x = rand_input(rng, 1, 16, 128, 128)  # 1 MB
+        assert _traced_peak(lambda: activation(x, "silu")) < 1.5 * x.nbytes
 
     def test_finite_on_extremes(self):
         x = np.array([[[[-1e4, 1e4]]]], DTYPE)

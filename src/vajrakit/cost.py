@@ -242,12 +242,10 @@ def block_cost(node, input_shape: tuple, fused: bool = False) -> NodeCost:
     """CostReport entry for one graph node at (c, h, w)."""
     from .graph import build_block
 
-    c, h, w = input_shape
-    if node.kind == "upsample":
-        return NodeCost(node.id, node.kind, 0, 0, 0, 0)
-    if node.kind == "concat":
-        return NodeCost(node.id, node.kind, 0, 0, 0, 0)
+    _, h, w = input_shape
     blk = build_block(node, fused)
+    if blk is None:  # upsample, concat: no parameters, no MACs
+        return NodeCost(node.id, node.kind, 0, 0, 0, 0)
     tally, _, _ = block_tally(blk, h, w)
     return NodeCost(node.id, node.kind, tally.macs, tally.params, tally.conv3x3, tally.other)
 
@@ -256,13 +254,9 @@ def graph_cost(graph, input_shape: tuple) -> CostReport:
     """Per-node cost report for a whole graph at input (c, h, w)."""
     from .graph import propagate_shapes
 
-    c, h, w = input_shape
-    shapes = propagate_shapes(graph, c, h, w)
-    entries = []
-    for node in graph.nodes:
-        src_shape = shapes[node.inputs[0]] if node.inputs else (c, h, w)
-        entries.append(block_cost(node, src_shape, graph.fused))
-    return CostReport(entries)
+    shapes = propagate_shapes(graph, *input_shape)
+    return CostReport([block_cost(node, shapes[node.inputs[0]], graph.fused)
+                       for node in graph.nodes])
 
 
 @dataclass

@@ -2,18 +2,26 @@
 
 Config format (line-oriented UTF-8, ``#`` comments):
 
-    scale=N                  # optional; enables scale-invariant checks
-    fused=1                  # optional; graph carries fused (BN-free) blocks
+    scale=N                  # optional, once; enables scale-invariant checks
+    fused=1                  # optional, once, 0|1; graph carries fused (BN-free) blocks
     block <id> type=<kind> key=value ... from=<id[,id]>
 
-Kinds: conv_bn_act | merudanda_x | merudanda_bhag15 | attention_bhag6 |
-adown | sppf | upsample | concat. ``from=input`` reads the graph input;
-only ``concat`` takes more than one source.
-Every referenced id must be defined on an earlier line, which keeps the
-graph a DAG by construction.
+Each kind is stated once, in ``_KINDS``: the block class it builds (``None``
+for ``upsample`` and ``concat``) and its config keys, each mapped to a
+constructor argument. The valid keys, ``build_block`` and every default
+(``BlockNode.attr`` reads an omitted key's default off the constructor) come
+from that table. The width and divisibility rules are the constructors' own,
+so ``parse_config`` validates a node by building it. Widths must be positive,
+a key may appear once per line and each header once per config.
+
+``from=input`` reads the graph input; only ``concat`` takes more than one
+source. Every referenced id must be defined on an earlier line, which keeps
+the graph a DAG by construction and lets channel counts be checked in one
+forward pass.
 """
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,33 +29,28 @@ import numpy as np
 from . import blocks as B
 from .tensor import DTYPE, ShapeError, check_tensor4, concat_channels, conv_out_hw, upsample_nearest
 
-KINDS = (
-    "conv_bn_act",
-    "merudanda_x",
-    "merudanda_bhag15",
-    "attention_bhag6",
-    "adown",
-    "sppf",
-    "upsample",
-    "concat",
-)
+_IO = {"in": "c_in", "out": "c_out"}
+# kind -> (block class, or None for the parameter-free kinds;
+#          {config key: constructor argument})
+_KINDS = {
+    "conv_bn_act": (B.ConvBNAct, {**_IO, "k": "k", "s": "stride"}),
+    "merudanda_x": (B.MerudandaX, {**_IO, "n": "n", "stem": "stem_width", "mid": "mid_width",
+                                   "identity": "identity"}),
+    "merudanda_bhag15": (B.MerudandaBhag15, {**_IO, "n": "n", "inner": "inner_kind",
+                                             "dw": "dw_kernel", "hidden": "hidden"}),
+    "attention_bhag6": (B.AttentionBhag6, {**_IO, "nblocks": "n_blocks", "heads": "heads",
+                                           "k": "sppf_k"}),
+    "adown": (B.ADown, _IO),
+    "sppf": (B.SPPF, {**_IO, "k": "k"}),
+    "upsample": (None, {}),
+    "concat": (None, {}),
+}
+_KEYS = {key for _, keys in _KINDS.values() for key in keys}
+_WIDTH_KEYS = {"in", "out", "stem", "mid", "hidden", "heads"}  # must be positive
 
 BACKBONE_STAGES = ("S1", "S2", "S3", "S4", "S5")
 NECK_STAGES = ("P3", "P4", "P5")
 STAGES = BACKBONE_STAGES + NECK_STAGES
-
-# keys each kind accepts beyond the universal type/from/stage
-_KIND_KEYS = {
-    "conv_bn_act": {"in", "out", "k", "s"},
-    "merudanda_x": {"in", "out", "n", "stem", "mid", "identity"},
-    "merudanda_bhag15": {"in", "out", "n", "inner", "dw", "hidden"},
-    "attention_bhag6": {"in", "out", "nblocks", "heads", "k"},
-    "adown": {"in", "out"},
-    "sppf": {"in", "out", "k"},
-    "upsample": set(),
-    "concat": set(),
-}
-_INT_KEYS = {"in", "out", "k", "s", "n", "stem", "mid", "identity", "dw", "hidden", "nblocks", "heads"}
 
 
 class ConfigError(ValueError):
@@ -71,8 +74,12 @@ class BlockNode:
     attrs: dict = field(default_factory=dict)
     line: int | None = None
 
-    def attr(self, key, default=None):
-        return self.attrs.get(key, default)
+    def attr(self, key):
+        """The node's value for a config key, else its block constructor's default."""
+        if key in self.attrs:
+            return self.attrs[key]
+        cls, args = _KINDS[self.kind]
+        return inspect.signature(cls).parameters[args[key]].default
 
 
 @dataclass
@@ -81,9 +88,6 @@ class ModelGraph:
     scale: str | None = None
     fused: bool = False
 
-    def __post_init__(self):
-        self.by_id = {n.id: n for n in self.nodes}
-
     @property
     def input_channels(self) -> int | None:
         for n in self.nodes:
@@ -91,36 +95,38 @@ class ModelGraph:
                 return n.attrs["in"]
         return None
 
-    def input_consumers(self):
-        return [n for n in self.nodes if "input" in n.inputs]
+    def check_input_channels(self, c: int) -> None:
+        """Raise ShapeError naming the first reader of the graph input unless
+        c matches the in= declared on it."""
+        expect = self.input_channels
+        if expect is not None and c != expect:
+            stem = next(n for n in self.nodes if "input" in n.inputs)
+            raise ShapeError(f"input has {c} channels but node '{stem.id}' expects {expect}")
 
 
 @dataclass(frozen=True)
 class ScaleConfig:
     """Per-scale placement rules: block depth, 7x7 kernel stages, downsample
-    kinds and transformer counts. Widths are the shipped-preset ladder and are
-    informational only (reconstructed, not enforced)."""
+    kinds and transformer counts."""
 
     scale: str
     n: int
     dw7_stages: frozenset
     adown_stages: frozenset | None  # None: every downsample (beyond the stem)
     attn_blocks: int
-    widths: tuple
 
     @classmethod
-    def for_scale(cls, scale: str) -> "ScaleConfig":
+    def for_scale(cls, scale: str, line: int | None = None) -> "ScaleConfig":
         table = {
-            "N": (1, frozenset({"P5"}), frozenset(), 1, (16, 32, 64, 128, 256)),
-            "S": (1, frozenset({"S5", "P5"}), frozenset(), 1, (32, 64, 128, 256, 512)),
-            "M": (1, frozenset(), frozenset({"S5", "P5"}), 1, (64, 128, 256, 512, 512)),
-            "L": (2, frozenset(), frozenset({"S5", "P5"}), 2, (64, 128, 256, 512, 512)),
-            "X": (2, frozenset(), None, 2, (80, 160, 320, 640, 640)),
+            "N": (1, frozenset({"P5"}), frozenset(), 1),
+            "S": (1, frozenset({"S5", "P5"}), frozenset(), 1),
+            "M": (1, frozenset(), frozenset({"S5", "P5"}), 1),
+            "L": (2, frozenset(), frozenset({"S5", "P5"}), 2),
+            "X": (2, frozenset(), None, 2),
         }
         if scale not in table:
-            raise ConfigError(f"unknown scale {scale!r} (want N|S|M|L|X)")
-        n, dw7, adown, attn, widths = table[scale]
-        return cls(scale, n, dw7, adown, attn, widths)
+            raise ConfigError(f"unknown scale {scale!r} (want N|S|M|L|X)", line)
+        return cls(scale, *table[scale])
 
     def validate(self, graph: ModelGraph) -> None:
         for node in graph.nodes:
@@ -131,26 +137,26 @@ class ScaleConfig:
             raise ConfigError(f"node '{node.id}': scale-{self.scale} invariant: {msg}", node.line)
 
         if node.kind in ("merudanda_x", "merudanda_bhag15"):
-            n = node.attr("n", 1)
+            n = node.attr("n")
             if n != self.n:
                 fail(f"{node.kind} must use n={self.n}, got n={n}")
         if node.kind == "merudanda_bhag15":
             stage = node.stage
             if stage is None:
                 fail("stage tag required for merudanda_bhag15 under a scale header")
-            inner = node.attr("inner", "merudanda_dw")
+            inner = node.attr("inner")
             if stage == "S5" and inner != "repvit":
                 fail("backbone-S5 inner block must be repvit")
             if stage in NECK_STAGES and inner != "merudanda_dw":
                 fail(f"neck-{stage} inner block must be merudanda_dw")
-            dw = node.attr("dw", 3)
+            dw = node.attr("dw")
             want = 7 if stage in self.dw7_stages else 3
             if dw != want:
                 fail(f"stage {stage} needs dw_kernel={want}, got {dw}")
         if node.kind == "attention_bhag6":
             if node.stage != "S5":
                 fail("attention aggregation is only placed at stage S5")
-            nb = node.attr("nblocks", 1)
+            nb = node.attr("nblocks")
             if nb != self.attn_blocks:
                 fail(f"needs {self.attn_blocks} transformer block(s), got {nb}")
         if _is_downsample(node):
@@ -171,24 +177,28 @@ class ScaleConfig:
 def _is_downsample(node: BlockNode) -> bool:
     if node.kind == "adown":
         return True
-    return node.kind == "conv_bn_act" and node.attr("s", 1) == 2
+    return node.kind == "conv_bn_act" and node.attr("s") == 2
 
 
 def parse_config(text: str):
     """Parse config text into a validated (ModelGraph, ScaleConfig | None)."""
     nodes = []
     seen = {}
-    scale = None
-    fused = False
+    headers = {}
+    scale_cfg = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("scale="):
-            scale = line.split("=", 1)[1].strip()
-            continue
-        if line.startswith("fused="):
-            fused = line.split("=", 1)[1].strip() not in ("0", "", "false")
+        header, _, value = line.partition("=")
+        if header in ("scale", "fused"):
+            if header in headers:
+                raise ConfigError(f"second {header}= header", lineno)
+            headers[header] = value = value.strip()
+            if header == "scale":
+                scale_cfg = ScaleConfig.for_scale(value, lineno)
+            elif value not in ("0", "1"):
+                raise ConfigError(f"fused= wants 0 or 1, got {value!r}", lineno)
             continue
         tokens = line.split()
         if tokens[0] != "block":
@@ -203,10 +213,14 @@ def parse_config(text: str):
         inputs = None
         stage = None
         attrs = {}
+        given = set()
         for tok in tokens[2:]:
             if "=" not in tok:
                 raise ConfigError(f"expected key=value, got {tok!r}", lineno, raw.index(tok) + 1)
             key, value = tok.split("=", 1)
+            if key in given:
+                raise ConfigError(f"key {key}= given twice", lineno)
+            given.add(key)
             if key == "type":
                 kind = value
             elif key == "from":
@@ -215,22 +229,24 @@ def parse_config(text: str):
                 if value not in STAGES:
                     raise ConfigError(f"unknown stage tag {value!r}", lineno)
                 stage = value
-            elif key in _INT_KEYS:
-                try:
-                    attrs[key] = int(value)
-                except ValueError:
-                    raise ConfigError(f"key {key}= wants an integer, got {value!r}", lineno) from None
             elif key == "inner":
                 if value not in B.INNER_KINDS:
                     raise ConfigError(f"unknown inner kind {value!r}", lineno)
                 attrs[key] = value
+            elif key in _KEYS:
+                try:
+                    attrs[key] = int(value)
+                except ValueError:
+                    raise ConfigError(f"key {key}= wants an integer, got {value!r}", lineno) from None
+                if key in _WIDTH_KEYS and attrs[key] <= 0:
+                    raise ConfigError(f"key {key}= must be positive, got {value}", lineno)
             else:
                 raise ConfigError(f"unknown key {key!r}", lineno, raw.index(tok) + 1)
         if kind is None:
             raise ConfigError("missing type=", lineno)
-        if kind not in KINDS:
+        if kind not in _KINDS:
             raise ConfigError(f"unknown kind {kind!r}", lineno)
-        bad = set(attrs) - _KIND_KEYS[kind]
+        bad = set(attrs) - set(_KINDS[kind][1])
         if bad:
             raise ConfigError(f"key(s) {sorted(bad)} not valid for {kind}", lineno)
         if inputs is None:
@@ -248,11 +264,9 @@ def parse_config(text: str):
 
     if not nodes:
         raise ConfigError("no nodes")
-    graph = ModelGraph(nodes, scale, fused)
+    graph = ModelGraph(nodes, headers.get("scale"), headers.get("fused") == "1")
     _validate_channels(graph)
-    scale_cfg = None
-    if scale is not None:
-        scale_cfg = ScaleConfig.for_scale(scale)
+    if scale_cfg is not None:
         scale_cfg.validate(graph)
     return graph, scale_cfg
 
@@ -275,79 +289,46 @@ def serialize_config(graph: ModelGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def node_out_channels(graph: ModelGraph, node: BlockNode) -> int:
-    if node.kind == "upsample":
-        return _source_channels(graph, node, node.inputs[0])
-    if node.kind == "concat":
-        return sum(_source_channels(graph, node, s) for s in node.inputs)
-    out = node.attr("out")
-    if out is None:
-        raise ConfigError(f"node '{node.id}' needs out=", node.line)
-    return out
-
-
-def _source_channels(graph: ModelGraph, node: BlockNode, src: str) -> int:
-    if src == "input":
-        c = graph.input_channels
-        if c is None:
+def _validate_channels(graph: ModelGraph) -> None:
+    """One forward pass: each node's in= against the channels its sources
+    carry, then its construction, which applies the block's own width rules."""
+    channels = {"input": graph.input_channels}  # None while no node declares it
+    for node in graph.nodes:
+        have = [channels[s] for s in node.inputs]
+        if _KINDS[node.kind][0] is None:
+            channels[node.id] = None if None in have else sum(have)
+            continue
+        if "in" not in node.attrs or "out" not in node.attrs:
+            raise ConfigError(f"node '{node.id}' needs in= and out=", node.line)
+        if None in have:
             raise ConfigError(
                 f"node '{node.id}' reads the graph input but no node declares in= on it",
                 node.line)
-        return c
-    return node_out_channels(graph, graph.by_id[src])
-
-
-def _validate_channels(graph: ModelGraph) -> None:
-    for node in graph.nodes:
-        if node.kind not in ("upsample", "concat"):
-            if "in" not in node.attrs or "out" not in node.attrs:
-                raise ConfigError(f"node '{node.id}' needs in= and out=", node.line)
-        if "in" in node.attrs:
-            have = sum(_source_channels(graph, node, s) for s in node.inputs)
-            if have != node.attrs["in"]:
-                raise ConfigError(
-                    f"node '{node.id}' declares in={node.attrs['in']} but its inputs carry "
-                    f"{have} channels", node.line)
-        # constructing the block surfaces width/divisibility errors early
-        if node.kind not in ("upsample", "concat"):
-            try:
-                build_block(node)
-            except (ValueError, ShapeError) as e:
-                raise ConfigError(f"node '{node.id}': {e}", node.line) from None
+        if sum(have) != node.attrs["in"]:
+            raise ConfigError(
+                f"node '{node.id}' declares in={node.attrs['in']} but its inputs carry "
+                f"{sum(have)} channels", node.line)
+        channels[node.id] = node.attrs["out"]
+        try:
+            build_block(node)
+        except (ValueError, ShapeError) as e:
+            raise ConfigError(f"node '{node.id}': {e}", node.line) from None
 
 
 def build_block(node: BlockNode, fused: bool = False):
-    """Construct the zero-initialized block for a graph node (None for the
-    parameter-free upsample/concat kinds)."""
-    a = node.attr
-    if node.kind == "conv_bn_act":
-        blk = B.ConvBNAct(a("in"), a("out"), a("k", 1), a("s", 1))
-    elif node.kind == "merudanda_x":
-        blk = B.MerudandaX(a("in"), a("out"), a("n", 1), a("stem"), a("mid"),
-                           bool(a("identity", 0)))
-    elif node.kind == "merudanda_bhag15":
-        blk = B.MerudandaBhag15(a("in"), a("out"), a("n", 1), a("inner", "merudanda_dw"),
-                                a("dw", 3), a("hidden"))
-    elif node.kind == "attention_bhag6":
-        blk = B.AttentionBhag6(a("in"), a("out"), a("nblocks", 1), a("heads"), a("k", 5))
-    elif node.kind == "adown":
-        blk = B.ADown(a("in"), a("out"))
-    elif node.kind == "sppf":
-        blk = B.SPPF(a("in"), a("out"), a("k", 5))
-    elif node.kind in ("upsample", "concat"):
+    """Construct the zero-initialized block for a graph node from the keys it
+    carries (None for the parameter-free upsample/concat kinds)."""
+    cls, args = _KINDS[node.kind]
+    if cls is None:
         return None
-    else:
-        raise ConfigError(f"unknown kind {node.kind!r}", node.line)
+    blk = cls(**{args[key]: value for key, value in node.attrs.items()})
     return blk.fuse() if fused else blk
 
 
 def propagate_shapes(graph: ModelGraph, c: int, h: int, w: int) -> dict:
     """Static (c, h, w) propagation through every node; raises ShapeError with
     the offending node id. Matches runtime shapes by contract."""
-    if graph.input_channels is not None and graph.input_channels != c:
-        stem = graph.input_consumers()[0]
-        raise ShapeError(
-            f"input has {c} channels but node '{stem.id}' expects {graph.input_channels}")
+    graph.check_input_channels(c)
     shapes = {"input": (c, h, w)}
     for node in graph.nodes:
         srcs = [shapes[s] for s in node.inputs]
@@ -369,7 +350,7 @@ def _node_out_shape(node: BlockNode, srcs: list) -> tuple:
     if node.kind == "upsample":
         return (c, 2 * h, 2 * w)
     if node.kind == "conv_bn_act":
-        k, s = a("k", 1), a("s", 1)
+        k, s = a("k"), a("s")
         ho, wo = conv_out_hw(h, w, k, s, k // 2)
         return (a("out"), ho, wo)
     if node.kind == "adown":
@@ -417,11 +398,7 @@ class Model:
         collected its inputs; a caller that needs one longer keeps its own
         reference, and should drop the ones it does not before resuming."""
         check_tensor4(x, "model input")
-        expect = self.graph.input_channels
-        if expect is not None and x.shape[1] != expect:
-            stem = self.graph.input_consumers()[0]
-            raise ShapeError(
-                f"input has {x.shape[1]} channels but node '{stem.id}' expects {expect}")
+        self.graph.check_input_channels(x.shape[1])
         last_use = {s: i for i, node in enumerate(self.graph.nodes) for s in node.inputs}
         live = {"input": x}
         for i, node in enumerate(self.graph.nodes):

@@ -38,8 +38,8 @@ def fuse_conv_bn(spec: ConvSpec, weights: np.ndarray, bias: np.ndarray | None,
         raise ValueError("var + eps must be positive to fold batchnorm")
     scale = bn.gamma / np.sqrt(denom_sq)
     b = np.zeros(spec.c_out, DTYPE) if bias is None else np.asarray(bias, DTYPE)
-    fused_w = (weights * scale[:, None, None, None]).astype(DTYPE)
-    fused_b = ((b - bn.mean) * scale + bn.beta).astype(DTYPE)
+    fused_w = weights * scale[:, None, None, None]
+    fused_b = (b - bn.mean) * scale + bn.beta
     out_spec = ConvSpec(spec.c_in, spec.c_out, spec.k, spec.stride, spec.padding,
                         spec.groups, has_bias=True)
     return FusedConv(out_spec, fused_w, fused_b)
@@ -59,7 +59,7 @@ def embed_kernel(weights: np.ndarray, target: int) -> np.ndarray:
     if k == target:
         return weights.copy()
     pad = (target - k) // 2
-    return np.pad(weights, ((0, 0), (0, 0), (pad, pad), (pad, pad))).astype(DTYPE)
+    return np.pad(weights, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
 
 
 def identity_kernel(c_out: int, c_in_per_group: int, k: int) -> np.ndarray:
@@ -88,7 +88,7 @@ def fuse_repvgg(block) -> FusedConv:
         fid = fuse_conv_bn(spec_id, w_id, None, block.bn_id)
         w = w + embed_kernel(fid.weights, 3)
         b = b + fid.bias
-    return FusedConv(f3.spec, w.astype(DTYPE), b.astype(DTYPE))
+    return FusedConv(f3.spec, w, b)
 
 
 @dataclass

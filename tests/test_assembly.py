@@ -112,6 +112,64 @@ block c type=sppf in=12 out=12 from=cat
         graph, _ = parse_config("fused=1\nblock a type=sppf in=8 out=8 from=input")
         assert graph.fused
 
+    def test_omitted_keys_read_constructor_defaults(self):
+        graph, _ = parse_config("block a type=conv_bn_act in=3 out=8 from=input\n"
+                                "block b type=merudanda_bhag15 in=8 out=8 from=a")
+        a, b = graph.nodes
+        assert (a.attr("k"), a.attr("s"), a.attr("out")) == (1, 1, 8)
+        assert (b.attr("n"), b.attr("inner"), b.attr("dw"), b.attr("hidden")) == (
+            1, "merudanda_dw", 3, None)
+
+
+# one line per width key, each otherwise valid, the key's value left as {v}
+_WIDTH_LINES = {
+    "in": "block a type=conv_bn_act in={v} out=8 from=input",
+    "out": "block a type=conv_bn_act in=3 out={v} from=input",
+    "stem": "block a type=merudanda_x in=8 out=8 stem={v} from=input",
+    "mid": "block a type=merudanda_x in=8 out=8 mid={v} from=input",
+    "hidden": "block a type=merudanda_bhag15 in=8 out=8 hidden={v} from=input",
+    "heads": "block a type=attention_bhag6 in=8 out=8 heads={v} from=input",
+}
+
+
+class TestRejectAtParse:
+    """Bad values are ConfigErrors carrying their line, never later failures."""
+
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("key", sorted(_WIDTH_LINES))
+    def test_non_positive_width(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key}= must be positive") as e:
+            parse_config("# widths\n" + _WIDTH_LINES[key].format(v=value))
+        assert e.value.line == 2
+
+    @pytest.mark.parametrize("value", ["yes", "true", "false", "", "2"])
+    def test_fused_wants_0_or_1(self, value):
+        with pytest.raises(ConfigError, match="fused= wants 0 or 1") as e:
+            parse_config(f"fused={value}\nblock a type=sppf in=8 out=8 from=input")
+        assert e.value.line == 1
+
+    def test_fused_0_parses_unfused(self):
+        graph, _ = parse_config("fused=0\nblock a type=sppf in=8 out=8 from=input")
+        assert not graph.fused
+
+    @pytest.mark.parametrize("repeat", ["out=8", "k=3", "from=input", "type=sppf", "stage=S2"])
+    def test_key_given_twice(self, repeat):
+        with pytest.raises(ConfigError, match="given twice") as e:
+            parse_config("# repeats\n"
+                         f"block a type=sppf in=8 out=8 k=3 stage=S2 {repeat} from=input")
+        assert e.value.line == 2
+
+    @pytest.mark.parametrize("header", ["scale=N", "fused=1"])
+    def test_header_given_twice(self, header):
+        with pytest.raises(ConfigError, match="second") as e:
+            parse_config(f"{header}\n{header}\nblock a type=sppf in=8 out=8 from=input")
+        assert e.value.line == 2
+
+    def test_unknown_scale_carries_line(self):
+        with pytest.raises(ConfigError, match="unknown scale") as e:
+            parse_config("# header\nscale=Q\nblock a type=sppf in=8 out=8 from=input")
+        assert e.value.line == 2
+
 
 class TestScaleRules:
     def test_scale_l_with_n1_rejected(self):

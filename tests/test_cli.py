@@ -49,6 +49,12 @@ class TestDescribe:
         code, _, err = run_cli("describe", "--config", str(path))
         assert code == 1 and "no nodes" in err
 
+    def test_zero_heads_is_a_config_error(self, tmp_path):
+        path = tmp_path / "heads.cfg"
+        path.write_text("block a type=attention_bhag6 in=8 out=8 heads=0 from=input\n", "utf-8")
+        code, _, err = run_cli("describe", "--config", str(path))
+        assert code == 1 and "line 1" in err and "Traceback" not in err
+
     def test_preset_x_downsamples_all_adown(self, tmp_path):
         path = tmp_path / "x.cfg"
         path.write_text(preset_text("X"), "utf-8")

@@ -7,6 +7,7 @@ from vajrakit import blocks as B
 from vajrakit.cost import block_tally, conv_cost
 from vajrakit.graph import Model, parse_config
 from vajrakit.oracle import conv2d_naive
+from vajrakit.presets import SCALES, preset_text
 from vajrakit.reparam import (
     embed_kernel,
     fuse_conv_bn,
@@ -217,6 +218,12 @@ class TestReparamGraph:
                                     lambda x: fused.stage_outputs(x),
                                     trials=3, shape=(2, 3, 32, 32), tol=1e-3)
         assert report.passed, report.max_abs
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_fused_arrays_float32_c_contiguous(self, scale):
+        graph, _ = parse_config("fused=1\n" + preset_text(scale))
+        for name, arr, _ in Model(graph).named_arrays():
+            assert arr.dtype == DTYPE and arr.flags.c_contiguous, name
 
     def test_missing_weight_rejected(self):
         graph, _ = parse_config("block a type=conv_bn_act in=3 out=4 k=1 s=1 from=input")

@@ -79,7 +79,10 @@ class WeightStore:
             for _ in range(count):
                 (name_len,) = struct.unpack_from("<H", buf, off)
                 off += 2
-                name = buf[off:off + name_len].decode("utf-8")
+                try:
+                    name = buf[off:off + name_len].decode("utf-8")
+                except UnicodeDecodeError:
+                    raise WeightFormatError(f"tensor name at byte {off} is not UTF-8") from None
                 if len(buf[off:off + name_len]) != name_len:
                     raise struct.error("short name")
                 off += name_len
@@ -94,7 +97,10 @@ class WeightStore:
                 if len(raw) != 4 * size:
                     raise struct.error("short tensor data")
                 off += 4 * size
-                arr = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(DTYPE)
+                try:
+                    arr = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(DTYPE)
+                except ValueError as e:
+                    raise WeightFormatError(f"bad dims {dims}: {e}") from None
                 store.add(name, arr)
         except struct.error as e:
             raise WeightFormatError(f"truncated weight file: {e}") from None

@@ -1,28 +1,28 @@
 """VajraV1 computational blocks as composable forward transforms.
 
 Every block is built from the tensor-core ops and keeps its parameters as
-plain numpy arrays. Construction zero-fills conv weights and sets batchnorm
-to identity statistics, so a freshly built residual block is the identity
-map; real values are filled in by the weight initializer or bound from a
-WeightStore. Blocks are immutable after construction in the sense that
-forward never mutates them.
+plain numpy arrays. Construction allocates no kernel: conv weights and
+biases start as read-only zero views and batchnorm at identity statistics,
+so an unbound block still runs and a residual block is the identity map.
+Real values come from a WeightStore, which owns every array; binding points
+a block at them. Forward never mutates a block.
 
-Parameter enumeration contract: ``named_arrays(prefix)`` yields
-(name, array, is_stat) in a deterministic order. ``is_stat`` marks batchnorm
-running statistics, which live in the weight store but do not count as
-learnable parameters. ``fuse()`` returns the inference-form twin of a block
-with every batchnorm folded away (see reparam.py for the arithmetic).
-
-Only the three leaves, ``ConvBNAct``, ``ConvAct`` and ``RepVGGBlock``, name
-their own arrays and define their own ``fuse``. Every other block is a
-``Composite`` and states its structure once, in ``CHILDREN``: ordered
-(attribute, segment) pairs, listed in weight-name order, which need not be
-forward order. A child's arrays are named ``<prefix>.<segment>``; a list
-attribute expands to ``<segment>0``, ``<segment>1``, ...; an empty segment
-reuses the parent's prefix. From that list the base class derives
-``named_arrays``, ``fuse`` (a shallow copy holding the fused children) and
-``c_in`` (the first child's; ADown doubles it), and cost.py walks the same
-list.
+Each block states its structure once. A leaf (``ConvBNAct``, ``ConvAct``,
+``RepVGGBlock``) lists its array attributes in ``ARRAYS``, in weight-name
+order, each attribute named as its weight-name segment; a ``BNParams``
+expands to gamma, beta, mean and var, and a ``None`` attribute is skipped.
+Every other block is a ``Composite`` and lists its children in
+``CHILDREN``: (attribute, segment) pairs in weight-name order, which need
+not be forward order. A child's arrays are named ``<prefix>.<segment>``; a
+list attribute expands to ``<segment>0``, ``<segment>1``, ...; an empty
+segment reuses the parent's prefix. One walk over both lists, ``slots``,
+yields (name, owner, attribute, is_stat), where ``setattr(owner,
+attribute, array)`` binds the name; ``named_arrays`` reads the same walk.
+``is_stat`` marks batchnorm running statistics: store entries, not
+learnable parameters. ``fuse()`` returns the inference-form twin with every
+batchnorm folded away (see reparam.py): leaves define their own, and a
+composite's is a shallow copy holding its fused children. cost.py walks the
+same lists.
 """
 from __future__ import annotations
 
@@ -49,24 +49,57 @@ from .tensor import (
 )
 
 BN_EPS_DEFAULT = 1e-3
+_BN_FIELDS = (("gamma", False), ("beta", False), ("mean", True), ("var", True))
 
 
-def _bn_arrays(prefix: str, bn: BNParams):
-    yield f"{prefix}.gamma", bn.gamma, False
-    yield f"{prefix}.beta", bn.beta, False
-    yield f"{prefix}.mean", bn.mean, True
-    yield f"{prefix}.var", bn.var, True
+def _unbound(shape) -> np.ndarray:
+    """A read-only zero view that stands in for an array until one is bound."""
+    return np.broadcast_to(DTYPE(0), shape)
 
 
-class ConvBNAct:
+class Block:
+    """Base of every block: the one walk over ARRAYS and CHILDREN."""
+
+    ARRAYS: tuple = ()  # a leaf's array attributes, in weight-name order
+    CHILDREN: tuple = ()  # a composite's ((attribute, segment), ...)
+
+    def children(self):
+        """(segment, block) pairs in declared order, list attributes expanded."""
+        for attr, seg in self.CHILDREN:
+            child = getattr(self, attr)
+            if isinstance(child, list):
+                for i, blk in enumerate(child):
+                    yield f"{seg}{i}", blk
+            else:
+                yield seg, child
+
+    def slots(self, prefix):
+        for path in self.ARRAYS:
+            value = getattr(self, path)
+            if isinstance(value, BNParams):
+                for field, is_stat in _BN_FIELDS:
+                    yield f"{prefix}.{path}.{field}", value, field, is_stat
+            elif value is not None:
+                yield f"{prefix}.{path}", self, path, False
+        for seg, child in self.children():
+            yield from child.slots(f"{prefix}.{seg}" if seg else prefix)
+
+    def named_arrays(self, prefix):
+        for name, owner, attr, is_stat in self.slots(prefix):
+            yield name, getattr(owner, attr), is_stat
+
+
+class ConvBNAct(Block):
     """Convolution (no bias) + inference batchnorm + activation."""
+
+    ARRAYS = ("w", "bn")
 
     def __init__(self, c_in, c_out, k=1, stride=1, groups=1, act="silu",
                  padding=None, eps=BN_EPS_DEFAULT):
         if padding is None:
             padding = k // 2
         self.spec = ConvSpec(c_in, c_out, k, stride, padding, groups, has_bias=False)
-        self.w = np.zeros(self.spec.weight_shape, DTYPE)
+        self.w = _unbound(self.spec.weight_shape)
         self.bn = BNParams.identity(c_out, eps)
         self.act = act
 
@@ -77,24 +110,22 @@ class ConvBNAct:
     def forward(self, x):
         return activation(batchnorm_infer(conv2d(x, self.spec, self.w), self.bn), self.act)
 
-    def named_arrays(self, prefix):
-        yield f"{prefix}.w", self.w, False
-        yield from _bn_arrays(f"{prefix}.bn", self.bn)
-
     def fuse(self) -> "ConvAct":
         fused = reparam.fuse_conv_bn(self.spec, self.w, None, self.bn)
         return ConvAct.from_fused(fused, self.act)
 
 
-class ConvAct:
+class ConvAct(Block):
     """Convolution with bias + activation: the fused (batchnorm-free) form."""
+
+    ARRAYS = ("w", "b")
 
     def __init__(self, c_in, c_out, k=1, stride=1, groups=1, act="silu", padding=None):
         if padding is None:
             padding = k // 2
         self.spec = ConvSpec(c_in, c_out, k, stride, padding, groups, has_bias=True)
-        self.w = np.zeros(self.spec.weight_shape, DTYPE)
-        self.b = np.zeros(c_out, DTYPE)
+        self.w = _unbound(self.spec.weight_shape)
+        self.b = _unbound(c_out)
         self.act = act
 
     @classmethod
@@ -112,21 +143,19 @@ class ConvAct:
     def forward(self, x):
         return activation(conv2d(x, self.spec, self.w, self.b), self.act)
 
-    def named_arrays(self, prefix):
-        yield f"{prefix}.w", self.w, False
-        yield f"{prefix}.b", self.b, False
-
     def fuse(self) -> "ConvAct":
         return self
 
 
-class RepVGGBlock:
+class RepVGGBlock(Block):
     """Two-branch train-form block: 3x3+BN plus 1x1+BN, summed, then act.
 
     The optional identity+BN branch is only legal for stride 1 with equal
     channel counts. The whole block collapses to a single 3x3 conv under
     reparam.fuse_repvgg.
     """
+
+    ARRAYS = ("w3", "bn3", "w1", "bn1", "bnid")
 
     def __init__(self, c_in, c_out, stride=1, identity=False, act="silu", eps=BN_EPS_DEFAULT):
         if identity and (c_in != c_out or stride != 1):
@@ -135,11 +164,11 @@ class RepVGGBlock:
             )
         self.spec3 = ConvSpec(c_in, c_out, 3, stride, padding=1)
         self.spec1 = ConvSpec(c_in, c_out, 1, stride, padding=0)
-        self.w3 = np.zeros(self.spec3.weight_shape, DTYPE)
-        self.w1 = np.zeros(self.spec1.weight_shape, DTYPE)
+        self.w3 = _unbound(self.spec3.weight_shape)
+        self.w1 = _unbound(self.spec1.weight_shape)
         self.bn3 = BNParams.identity(c_out, eps)
         self.bn1 = BNParams.identity(c_out, eps)
-        self.bn_id = BNParams.identity(c_out, eps) if identity else None
+        self.bnid = BNParams.identity(c_out, eps) if identity else None
         self.act = act
 
     @property
@@ -151,44 +180,20 @@ class RepVGGBlock:
             batchnorm_infer(conv2d(x, self.spec3, self.w3), self.bn3),
             batchnorm_infer(conv2d(x, self.spec1, self.w1), self.bn1),
         )
-        if self.bn_id is not None:
-            y = add(y, batchnorm_infer(x, self.bn_id))
+        if self.bnid is not None:
+            y = add(y, batchnorm_infer(x, self.bnid))
         return activation(y, self.act)
-
-    def named_arrays(self, prefix):
-        yield f"{prefix}.w3", self.w3, False
-        yield from _bn_arrays(f"{prefix}.bn3", self.bn3)
-        yield f"{prefix}.w1", self.w1, False
-        yield from _bn_arrays(f"{prefix}.bn1", self.bn1)
-        if self.bn_id is not None:
-            yield from _bn_arrays(f"{prefix}.bnid", self.bn_id)
 
     def fuse(self) -> ConvAct:
         return ConvAct.from_fused(reparam.fuse_repvgg(self), self.act)
 
 
-class Composite:
+class Composite(Block):
     """A block built from other blocks, declared once in ``CHILDREN``."""
-
-    CHILDREN: tuple  # ((attribute, segment), ...), set by every subclass
-
-    def children(self):
-        """(segment, block) pairs in declared order, list attributes expanded."""
-        for attr, seg in self.CHILDREN:
-            child = getattr(self, attr)
-            if isinstance(child, list):
-                for i, blk in enumerate(child):
-                    yield f"{seg}{i}", blk
-            else:
-                yield seg, child
 
     @property
     def c_in(self):
         return next(self.children())[1].c_in
-
-    def named_arrays(self, prefix):
-        for seg, child in self.children():
-            yield from child.named_arrays(f"{prefix}.{seg}" if seg else prefix)
 
     def fuse(self):
         out = copy.copy(self)

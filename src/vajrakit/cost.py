@@ -115,7 +115,7 @@ def block_tally(block, h: int, w: int) -> tuple[Tally, int, int]:
         t += leaf1
         elems = block.spec3.c_out * ho * wo
         t.other += elems  # branch add
-        if block.bn_id is not None:
+        if block.bnid is not None:
             t.params += 2 * block.spec3.c_out
             t.other += 3 * elems  # bn apply + extra add
         t.other += elems  # activation
@@ -289,18 +289,3 @@ def adown_cost(c_in: int, c_out: int, h: int, w: int) -> ADownCost:
     std_params = 9 * c_in * c_out
     pool_ops = 4 * c_in * (h - 1) * (w - 1) + 9 * half_in * ho * wo
     return ADownCost(macs, params, Fraction(macs, std_macs), std_macs, std_params, pool_ops)
-
-
-def attention_cost(c: int, h: int, w: int, heads: int) -> tuple[int, int]:
-    """(macs, params) of one AttentionV2 at c channels over an h x w map."""
-    if c % heads:
-        raise ValueError(f"heads={heads} must divide {c} channels")
-    sites = h * w
-    d = c // heads
-    macs = sites * c * 2 * c          # qk 1x1
-    macs += sites * c * c             # v 1x1
-    macs += sites * 9 * c             # depthwise 3x3 positional encoding
-    macs += sites * c * c             # proj 1x1
-    macs += 2 * heads * sites * sites * d  # QK^T and attn.V
-    params = (2 * c * c + 2 * 2 * c) + (c * c + 2 * c) + (9 * c + 2 * c) + (c * c + 2 * c)
-    return macs, params

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import blocks as B
-from .tensor import DTYPE, ShapeError, check_tensor4, concat_channels, conv_out_hw, upsample_nearest
+from .tensor import ShapeError, check_tensor4, concat_channels, conv_out_hw, upsample_nearest
 
 _IO = {"in": "c_in", "out": "c_out"}
 # kind -> (block class, or None for the parameter-free kinds;
@@ -89,19 +89,20 @@ class ModelGraph:
     fused: bool = False
 
     @property
+    def input_node(self) -> BlockNode | None:
+        """The first node that reads the graph input alone and declares in=."""
+        return next((n for n in self.nodes if n.inputs == ["input"] and "in" in n.attrs), None)
+
+    @property
     def input_channels(self) -> int | None:
-        for n in self.nodes:
-            if n.inputs == ["input"] and "in" in n.attrs:
-                return n.attrs["in"]
-        return None
+        node = self.input_node
+        return None if node is None else node.attrs["in"]
 
     def check_input_channels(self, c: int) -> None:
-        """Raise ShapeError naming the first reader of the graph input unless
-        c matches the in= declared on it."""
-        expect = self.input_channels
-        if expect is not None and c != expect:
-            stem = next(n for n in self.nodes if "input" in n.inputs)
-            raise ShapeError(f"input has {c} channels but node '{stem.id}' expects {expect}")
+        """Raise ShapeError naming the input node unless c matches its in=."""
+        node = self.input_node
+        if node is not None and c != node.attrs["in"]:
+            raise ShapeError(f"input has {c} channels but node '{node.id}' expects {node.attrs['in']}")
 
 
 @dataclass(frozen=True)
@@ -368,22 +369,27 @@ class Model:
         self.graph = graph
         self.blocks = {n.id: build_block(n, graph.fused) for n in graph.nodes}
 
-    def named_arrays(self):
+    def slots(self):
         for node in self.graph.nodes:
             blk = self.blocks[node.id]
             if blk is not None:
-                yield from blk.named_arrays(node.id)
+                yield from blk.slots(node.id)
+
+    def named_arrays(self):
+        for name, owner, attr, is_stat in self.slots():
+            yield name, getattr(owner, attr), is_stat
 
     def bind(self, store) -> "Model":
-        """Copy weights from a store into this model's arrays, in place."""
+        """Point every array slot at the store's array: the model shares the
+        store's read-only arrays and copies none."""
         names = set()
-        for name, arr, _ in self.named_arrays():
+        for name, owner, attr, _ in self.slots():
             if name not in store:
                 raise KeyError(f"weight store is missing {name!r}")
-            src = store[name]
-            if src.shape != arr.shape:
-                raise ShapeError(f"{name}: store shape {src.shape} != site shape {arr.shape}")
-            arr[...] = src
+            src, site = store[name], getattr(owner, attr)
+            if src.shape != site.shape:
+                raise ShapeError(f"{name}: store shape {src.shape} != site shape {site.shape}")
+            setattr(owner, attr, src)
             names.add(name)
         extra = set(store.names()) - names
         if extra:

@@ -116,23 +116,10 @@ class ReferenceBackend:
         return out.reshape(m.shape).astype(DTYPE)
 
 
-def reference() -> "ReferenceContext":
-    """Context manager routing core ops through a fresh ReferenceBackend."""
-    return ReferenceContext()
-
-
-class ReferenceContext:
-    def __init__(self):
-        self.backend = ReferenceBackend()
-        self._cm = None
-
-    def __enter__(self) -> ReferenceBackend:
-        self._cm = override_backend(self.backend)
-        self._cm.__enter__()
-        return self.backend
-
-    def __exit__(self, *exc):
-        return self._cm.__exit__(*exc)
+def reference():
+    """Context manager routing core ops through a fresh ReferenceBackend,
+    which it yields."""
+    return override_backend(ReferenceBackend())
 
 
 # Direct entry points for op-level oracle tests.

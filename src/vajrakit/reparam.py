@@ -82,10 +82,10 @@ def fuse_repvgg(block) -> FusedConv:
     f1 = fuse_conv_bn(block.spec1, block.w1, None, block.bn1)
     w = f3.weights + embed_kernel(f1.weights, 3)
     b = f3.bias + f1.bias
-    if block.bn_id is not None:
+    if block.bnid is not None:
         spec_id = ConvSpec(block.spec3.c_in, block.spec3.c_out, 1, 1, 0)
         w_id = identity_kernel(spec_id.c_out, spec_id.c_in, 1)
-        fid = fuse_conv_bn(spec_id, w_id, None, block.bn_id)
+        fid = fuse_conv_bn(spec_id, w_id, None, block.bnid)
         w = w + embed_kernel(fid.weights, 3)
         b = b + fid.bias
     return FusedConv(f3.spec, w, b)
@@ -130,11 +130,14 @@ def reparam_graph(graph, store):
     through with bit-identical weights, so the pass is idempotent.
     """
     from .graph import Model  # local import avoids a module cycle
-    from .weights import collect_weights
+    from .weights import WeightStore
 
-    model = Model(graph).bind(store)
-    fused = model.fuse()
-    return fused.graph, collect_weights(fused)
+    fused = Model(graph).bind(store).fuse()
+    out = WeightStore()
+    for name, arr, _ in fused.named_arrays():
+        arr.flags.writeable = False  # a folded array has no other holder: adopt it
+        out.add(name, arr)
+    return fused.graph, out
 
 
 def verify_equivalence(f: Callable, g: Callable, trials: int, shape: tuple,

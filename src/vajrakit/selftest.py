@@ -6,7 +6,6 @@ package with no test files around. The pytest suite covers the same ground
 """
 from __future__ import annotations
 
-import io
 import os
 import tempfile
 from fractions import Fraction
@@ -15,12 +14,12 @@ import numpy as np
 
 from . import blocks as B
 from . import oracle
-from .cost import adown_cost, block_tally, conv_cost
+from .cost import adown_cost, block_tally
 from .graph import Model, parse_config
 from .presets import SCALES, load_preset
 from .reparam import fuse_repvgg, reparam_graph, verify_equivalence
 from .tensor import DTYPE, BNParams, ConvSpec, conv2d, conv_out_hw, pool2d, softmax_lastdim
-from .weights import WeightStore, collect_weights, init_weights
+from .weights import WeightStore, init_weights
 
 
 def _rand_bn(rng, c) -> BNParams:
@@ -34,9 +33,15 @@ def _rand_bn(rng, c) -> BNParams:
 
 
 def _randomize(block, rng, scale=0.3) -> None:
-    for _, arr, is_stat in block.named_arrays("x"):
-        if not is_stat and arr.ndim == 4:
-            arr[...] = rng.uniform(-scale, scale, arr.shape).astype(DTYPE)
+    for _, owner, attr, is_stat in block.slots("x"):
+        shape = getattr(owner, attr).shape
+        if not is_stat and len(shape) == 4:
+            setattr(owner, attr, rng.uniform(-scale, scale, shape).astype(DTYPE))
+
+
+def _check(ok, msg: str = "check failed") -> None:  # an assert that python -O keeps
+    if not ok:
+        raise AssertionError(msg)
 
 
 def check_conv_matches_loop_nest():
@@ -53,20 +58,20 @@ def check_conv_matches_loop_nest():
         b = rng.standard_normal(c_out).astype(DTYPE)
         fast = conv2d(x, spec, w, b)
         ref = oracle.conv2d_naive(x, spec, w, b)
-        assert np.abs(fast - ref).max() <= 1e-5, f"conv mismatch on {spec}"
+        _check(np.abs(fast - ref).max() <= 1e-5, f"conv mismatch on {spec}")
 
 
 def check_pool_and_softmax():
     x = np.array([[[[1, 2], [3, 4]]]], DTYPE)
-    assert pool2d(x, "avg", 2, 1, 0)[0, 0, 0, 0] == DTYPE(2.5)
+    _check(pool2d(x, "avg", 2, 1, 0)[0, 0, 0, 0] == DTYPE(2.5))
     x16 = np.arange(1, 17, dtype=DTYPE).reshape(1, 1, 4, 4)
     got = pool2d(x16, "max", 3, 2, 1)[0, 0]
-    assert got.tolist() == [[6, 8], [14, 16]]
+    _check(got.tolist() == [[6, 8], [14, 16]])
     row = np.array([[0.0, np.log(3.0)]], DTYPE)
     sm = softmax_lastdim(row)
-    assert np.abs(sm - [0.25, 0.75]).max() <= 1e-6
+    _check(np.abs(sm - [0.25, 0.75]).max() <= 1e-6)
     shifted = softmax_lastdim(row + DTYPE(5.0))
-    assert np.abs(sm - shifted).max() <= 1e-6
+    _check(np.abs(sm - shifted).max() <= 1e-6)
 
 
 def check_repvgg_fusion():
@@ -81,18 +86,18 @@ def check_repvgg_fusion():
         blk.bn3 = _rand_bn(rng, c)
         blk.bn1 = _rand_bn(rng, c)
         if identity:
-            blk.bn_id = _rand_bn(rng, c)
+            blk.bnid = _rand_bn(rng, c)
         fused = B.ConvAct.from_fused(fuse_repvgg(blk), blk.act)
         x = rng.standard_normal((2, c, 16, 16)).astype(DTYPE)
         diff = np.abs(blk.forward(x) - fused.forward(x)).max()
-        assert diff <= 1e-4, f"fusion diff {diff} on config {i}"
+        _check(diff <= 1e-4, f"fusion diff {diff} on config {i}")
 
 
 def check_census_2n_plus_2():
     for n in (1, 2, 3):
         blk = B.MerudandaX(32, 32, n)
         tally, _, _ = block_tally(blk, 8, 8)
-        assert tally.conv3x3 == 2 * n + 2, f"census {tally.conv3x3} != {2 * n + 2}"
+        _check(tally.conv3x3 == 2 * n + 2, f"census {tally.conv3x3} != {2 * n + 2}")
 
 
 def check_residual_identities():
@@ -100,7 +105,7 @@ def check_residual_identities():
     for blk in (B.MerudandaDW(16, 7), B.RepViTBlock(16, 3), B.AttentionBlockV2(16, 2)):
         x = rng.standard_normal((2, 16, 8, 8)).astype(DTYPE)
         y = blk.forward(x)
-        assert np.array_equal(x, y), f"{type(blk).__name__} broke the residual identity"
+        _check(np.array_equal(x, y), f"{type(blk).__name__} broke the residual identity")
 
 
 def check_attention_rows():
@@ -112,23 +117,23 @@ def check_attention_rows():
         _randomize(blk, rng)
         x = rng.standard_normal((1, c, 6, 6)).astype(DTYPE)
         y, attn = blk.forward(x, return_attn=True)
-        assert y.shape == x.shape
+        _check(y.shape == x.shape)
         rows = attn.sum(axis=-1)
-        assert np.abs(rows - 1.0).max() <= 1e-6, "attention rows must sum to 1"
+        _check(np.abs(rows - 1.0).max() <= 1e-6, "attention rows must sum to 1")
 
 
 def check_adown_arithmetic():
     ac = adown_cost(64, 128, 32, 32)
-    assert ac.macs == 5242880
-    assert ac.ratio_vs_standard == Fraction(5, 18)
-    assert Fraction(ac.params, ac.std_params) == Fraction(5, 18)
+    _check(ac.macs == 5242880)
+    _check(ac.ratio_vs_standard == Fraction(5, 18))
+    _check(Fraction(ac.params, ac.std_params) == Fraction(5, 18))
     blk = B.ADown(64, 128)
     rng = np.random.default_rng(1)
     _randomize(blk, rng)
     x = rng.standard_normal((1, 64, 32, 32)).astype(DTYPE)
     with oracle.reference() as ref:
         blk.forward(x)
-    assert ref.macs == ac.macs, f"counter {ref.macs} != analytic {ac.macs}"
+    _check(ref.macs == ac.macs, f"counter {ref.macs} != analytic {ac.macs}")
 
 
 def check_cost_counter_equality():
@@ -150,7 +155,7 @@ def check_cost_counter_equality():
         with oracle.reference() as ref:
             blk.forward(x)
         tally, _, _ = block_tally(blk, 8, 8)
-        assert ref.macs == tally.macs, f"{type(blk).__name__}: {ref.macs} != {tally.macs}"
+        _check(ref.macs == tally.macs, f"{type(blk).__name__}: {ref.macs} != {tally.macs}")
 
 
 def check_store_roundtrip_and_idempotence():
@@ -165,28 +170,28 @@ block c type=adown in=8 out=16 from=b
         path = os.path.join(td, "w.vjw")
         store.save(path)
         loaded = WeightStore.load(path)
-        assert store.names() == loaded.names()
+        _check(store.names() == loaded.names())
         for name, arr in store.items():
-            assert np.array_equal(arr, loaded[name]), f"roundtrip changed {name}"
+            _check(np.array_equal(arr, loaded[name]), f"roundtrip changed {name}")
     g1, s1 = reparam_graph(graph, store)
     g2, s2 = reparam_graph(g1, s1)
-    assert s1.names() == s2.names()
+    _check(s1.names() == s2.names())
     for name, arr in s1.items():
-        assert np.array_equal(arr, s2[name]), f"reparam pass not idempotent at {name}"
+        _check(np.array_equal(arr, s2[name]), f"reparam pass not idempotent at {name}")
     x = np.random.default_rng(0).standard_normal((1, 3, 32, 32)).astype(DTYPE)
     base = Model(graph).bind(store)
     fused = Model(g1).bind(s1)
     rep = verify_equivalence(lambda t: base.stage_outputs(t),
                              lambda t: fused.stage_outputs(t), 3, x.shape, 1e-3)
-    assert rep.passed, f"graph fusion diff {rep.max_abs}"
+    _check(rep.passed, f"graph fusion diff {rep.max_abs}")
 
 
 def check_presets():
     for scale in SCALES:
         graph, scale_cfg = load_preset(scale)
-        assert scale_cfg is not None and scale_cfg.scale == scale
+        _check(scale_cfg is not None and scale_cfg.scale == scale)
         attn_nodes = [n for n in graph.nodes if n.kind == "attention_bhag6"]
-        assert len(attn_nodes) == 1 and attn_nodes[0].stage == "S5"
+        _check(len(attn_nodes) == 1 and attn_nodes[0].stage == "S5")
 
 
 def check_conv_linearity_and_shapes():
@@ -198,7 +203,7 @@ def check_conv_linearity_and_shapes():
     a, b = DTYPE(1.5), DTYPE(-2.0)
     lhs = conv2d((a * x + b * y).astype(DTYPE), spec, w)
     rhs = a * conv2d(x, spec, w) + b * conv2d(y, spec, w)
-    assert np.abs(lhs - rhs).max() <= 1e-5
+    _check(np.abs(lhs - rhs).max() <= 1e-5)
     for _ in range(50):
         k = int(rng.choice([1, 3, 5, 7]))
         s = int(rng.choice([1, 2]))
@@ -208,7 +213,7 @@ def check_conv_linearity_and_shapes():
         spec = ConvSpec(2, 3, k, s, p)
         x = rng.standard_normal((1, 2, h, w_)).astype(DTYPE)
         out = conv2d(x, spec, np.zeros(spec.weight_shape, DTYPE))
-        assert out.shape[2:] == conv_out_hw(h, w_, k, s, p)
+        _check(out.shape[2:] == conv_out_hw(h, w_, k, s, p))
 
 
 def check_stage_outputs_match_forward():
@@ -221,9 +226,9 @@ def check_stage_outputs_match_forward():
         if node.stage is not None:
             want[node.stage] = outs[node.id]
     got = model.stage_outputs(x)
-    assert list(got) == list(want), f"stage tags {list(got)} != {list(want)}"
+    _check(list(got) == list(want), f"stage tags {list(got)} != {list(want)}")
     for tag, y in want.items():
-        assert np.array_equal(got[tag], y), f"stage {tag} differs from forward"
+        _check(np.array_equal(got[tag], y), f"stage {tag} differs from forward")
 
 
 CHECKS = [

@@ -3,9 +3,18 @@
 File layout: magic ``VJW1``, u32 little-endian tensor count, then per tensor
 a u16 name length + UTF-8 name, u8 rank, rank x u32 dims, and the
 dims-product of float32 little-endian values. Roundtrips are bit-exact.
+
+Ownership: a WeightStore is the one owner of weight arrays, and every array
+it holds is read-only. ``add`` adopts an array only when nothing else can
+write it: read-only, float32, C-contiguous and owning its data; anything
+else is copied. Bound models point at the store's arrays rather than
+holding copies, so a stray in-place write raises instead of changing
+weights. ``load`` reads each tensor once, straight into the array it keeps.
 """
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -29,8 +38,11 @@ class WeightStore:
     def add(self, name: str, arr: np.ndarray) -> None:
         if name in self._data:
             raise WeightFormatError(f"duplicate tensor name {name!r}")
-        # always copy: stores must not alias live model arrays
-        self._data[name] = np.array(arr, dtype=DTYPE, order="C", copy=True)
+        if not (isinstance(arr, np.ndarray) and arr.dtype == DTYPE and not arr.flags.writeable
+                and arr.flags.c_contiguous and arr.flags.owndata):
+            arr = np.array(arr, dtype=DTYPE, order="C", copy=True)
+            arr.flags.writeable = False
+        self._data[name] = arr
 
     def __contains__(self, name):
         return name in self._data
@@ -67,46 +79,44 @@ class WeightStore:
 
     @classmethod
     def load(cls, path) -> "WeightStore":
-        with open(path, "rb") as f:
-            buf = f.read()
-        if buf[:4] != MAGIC:
-            raise WeightFormatError(f"bad magic {buf[:4]!r}, want {MAGIC!r}")
         store = cls()
-        off = 4
-        try:
-            (count,) = struct.unpack_from("<I", buf, off)
-            off += 4
+        with open(path, "rb") as f:
+            magic = f.read(4)
+            if magic != MAGIC:
+                raise WeightFormatError(f"bad magic {magic!r}, want {MAGIC!r}")
+            size = os.fstat(f.fileno()).st_size
+            (count,) = _unpack(f, "<I")
             for _ in range(count):
-                (name_len,) = struct.unpack_from("<H", buf, off)
-                off += 2
+                (name_len,) = _unpack(f, "<H")
                 try:
-                    name = buf[off:off + name_len].decode("utf-8")
+                    name = _unpack(f, f"<{name_len}s")[0].decode("utf-8")
                 except UnicodeDecodeError:
-                    raise WeightFormatError(f"tensor name at byte {off} is not UTF-8") from None
-                if len(buf[off:off + name_len]) != name_len:
-                    raise struct.error("short name")
-                off += name_len
-                (rank,) = struct.unpack_from("<B", buf, off)
-                off += 1
-                dims = struct.unpack_from(f"<{rank}I", buf, off)
-                off += 4 * rank
-                size = 1
-                for d in dims:
-                    size *= d
-                raw = buf[off:off + 4 * size]
-                if len(raw) != 4 * size:
-                    raise struct.error("short tensor data")
-                off += 4 * size
+                    raise WeightFormatError(f"tensor name ending at byte {f.tell()} is not UTF-8") from None
+                (rank,) = _unpack(f, "<B")
+                dims = _unpack(f, f"<{rank}I")
+                nbytes = 4 * math.prod(dims)
+                if nbytes > size - f.tell():
+                    raise WeightFormatError(f"truncated weight file: {name!r} needs {nbytes} bytes, "
+                                            f"{size - f.tell()} left")
                 try:
-                    arr = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(DTYPE)
+                    arr = np.empty(dims, "<f4")
                 except ValueError as e:
-                    raise WeightFormatError(f"bad dims {dims}: {e}") from None
+                    raise WeightFormatError(f"{name!r}: bad dims {dims}: {e}") from None
+                if f.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
+                    raise WeightFormatError(f"truncated weight file: short data for {name!r}")
+                arr.flags.writeable = False
                 store.add(name, arr)
-        except struct.error as e:
-            raise WeightFormatError(f"truncated weight file: {e}") from None
-        if off != len(buf):
-            raise WeightFormatError(f"{len(buf) - off} trailing bytes after last tensor")
+            if f.tell() != size:
+                raise WeightFormatError(f"{size - f.tell()} trailing bytes after last tensor")
         return store
+
+
+def _unpack(f, fmt: str) -> tuple:
+    n = struct.calcsize(fmt)
+    data = f.read(n)
+    if len(data) != n:
+        raise WeightFormatError(f"truncated weight file: {len(data)} of {n} bytes at the end")
+    return struct.unpack(fmt, data)
 
 
 def init_weights(graph, seed: int) -> WeightStore:
@@ -116,22 +126,13 @@ def init_weights(graph, seed: int) -> WeightStore:
     from .graph import Model  # local import: graph.py builds on blocks only
 
     rng = np.random.default_rng(seed)
-    model = Model(graph)
     store = WeightStore()
-    for name, arr, is_stat in model.named_arrays():
+    for name, arr, is_stat in Model(graph).named_arrays():
         if not is_stat and arr.ndim == 4:
             fan_in = arr.shape[1] * arr.shape[2] * arr.shape[3]
             bound = 1.0 / np.sqrt(fan_in)
-            arr[...] = rng.uniform(-bound, bound, size=arr.shape).astype(DTYPE)
-        # 1-dim arrays keep their constructed values: biases and BN beta/mean
-        # zero, BN gamma/var one
+            arr = rng.uniform(-bound, bound, size=arr.shape).astype(DTYPE)
+            arr.flags.writeable = False
         store.add(name, arr)
     return store
 
-
-def collect_weights(model) -> WeightStore:
-    """Snapshot a model's current arrays into a store."""
-    store = WeightStore()
-    for name, arr, _ in model.named_arrays():
-        store.add(name, arr)
-    return store

@@ -29,23 +29,27 @@ def rand_bn(rng, c, eps=1e-3) -> BNParams:
 
 
 def randomize(block, rng, scale=0.3, with_bn=False):
-    """Fill a block's parameters in place: kernels always, biases always,
-    batchnorm statistics only when with_bn."""
-    for name, arr, is_stat in block.named_arrays("t"):
+    """Set a block's parameters to fresh random arrays: kernels always,
+    biases always, batchnorm statistics only when with_bn."""
+    for name, owner, attr, is_stat in block.slots("t"):
+        shape = getattr(owner, attr).shape
+        new = None
         if is_stat:
             if with_bn:
                 if name.endswith(".mean"):
-                    arr[...] = rng.normal(0, 0.2, arr.shape).astype(DTYPE)
+                    new = rng.normal(0, 0.2, shape)
                 else:  # .var
-                    arr[...] = rng.uniform(0.25, 1.5, arr.shape).astype(DTYPE)
-        elif arr.ndim == 4:
-            arr[...] = (rng.standard_normal(arr.shape) * scale).astype(DTYPE)
+                    new = rng.uniform(0.25, 1.5, shape)
+        elif len(shape) == 4:
+            new = rng.standard_normal(shape) * scale
         elif name.endswith(".b"):
-            arr[...] = rng.normal(0, 0.1, arr.shape).astype(DTYPE)
+            new = rng.normal(0, 0.1, shape)
         elif with_bn and name.endswith(".gamma"):
-            arr[...] = rng.uniform(0.8, 1.25, arr.shape).astype(DTYPE)
+            new = rng.uniform(0.8, 1.25, shape)
         elif with_bn and name.endswith(".beta"):
-            arr[...] = rng.normal(0, 0.1, arr.shape).astype(DTYPE)
+            new = rng.normal(0, 0.1, shape)
+        if new is not None:
+            setattr(owner, attr, new.astype(DTYPE))
     return block
 
 

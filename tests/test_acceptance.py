@@ -42,7 +42,7 @@ def test_criterion_1_reparameterization_equivalence():
         blk.bn3 = rand_bn(rng, c)
         blk.bn1 = rand_bn(rng, c)
         if identity:
-            blk.bn_id = rand_bn(rng, c)
+            blk.bnid = rand_bn(rng, c)
         fused = blk.fuse()
         x = rand_input(rng, 2, c, 16, 16)
         diff = float(np.abs(blk.forward(x) - fused.forward(x)).max())
@@ -63,15 +63,18 @@ def test_criterion_1_reparameterization_equivalence():
     # same gate with randomized BN statistics injected into the store,
     # which makes the fold arithmetic nontrivial at every site
     gen = np.random.default_rng(77)
+    randomized = WeightStore()
     for name, arr in store.items():
         if name.endswith(".mean"):
-            arr[...] = gen.normal(0, 0.2, arr.shape).astype(DTYPE)
+            arr = gen.normal(0, 0.2, arr.shape).astype(DTYPE)
         elif name.endswith(".var"):
-            arr[...] = gen.uniform(0.25, 1.5, arr.shape).astype(DTYPE)
+            arr = gen.uniform(0.25, 1.5, arr.shape).astype(DTYPE)
         elif name.endswith(".gamma"):
-            arr[...] = gen.uniform(0.8, 1.25, arr.shape).astype(DTYPE)
+            arr = gen.uniform(0.8, 1.25, arr.shape).astype(DTYPE)
         elif name.endswith(".beta"):
-            arr[...] = gen.normal(0, 0.1, arr.shape).astype(DTYPE)
+            arr = gen.normal(0, 0.1, arr.shape).astype(DTYPE)
+        randomized.add(name, arr)
+    store = randomized
     fused_graph2, fused_store2 = reparam_graph(graph, store)
     base2 = Model(graph).bind(store)
     fused2 = Model(fused_graph2).bind(fused_store2)

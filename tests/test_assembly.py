@@ -327,6 +327,15 @@ block d type=sppf in=24 out=24 from=cat
         with pytest.raises(ShapeError, match="stem"):
             propagate_shapes(graph, 4, 64, 64)
 
+    def test_wrong_input_channels_names_the_node_declaring_in(self):
+        graph, _ = parse_config("""
+block u type=upsample from=input
+block a type=conv_bn_act in=3 out=8 k=3 s=1 from=input
+block c type=concat from=u,a
+""")
+        with pytest.raises(ShapeError, match="node 'a' expects 3"):
+            propagate_shapes(graph, 4, 8, 8)
+
     def test_odd_spatial_into_adown_flagged_with_node_id(self):
         graph, _ = parse_config("block d type=adown in=8 out=16 from=input")
         with pytest.raises(ShapeError, match="node 'd'"):

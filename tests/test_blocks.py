@@ -140,8 +140,8 @@ class TestSqueezeExcite:
     def test_zero_gate_weights_halve_input(self, rng):
         blk = B.SqueezeExcite(8)
         randomize(blk.fc1, rng)
-        blk.fc2.w[...] = 0.0
-        blk.fc2.b[...] = 0.0
+        blk.fc2.w = np.zeros(blk.fc2.spec.weight_shape, DTYPE)
+        blk.fc2.b = np.zeros(8, DTYPE)
         x = rand_input(rng, 2, 8, 4, 4)
         assert np.array_equal(blk.forward(x), DTYPE(0.5) * x)
 
@@ -336,7 +336,7 @@ class TestADown:
 
     def test_constant_input_all_ones_kernel_interior(self):
         blk = B.ADown(2, 2, eps=0.0)
-        blk.cv1.w[...] = 1.0
+        blk.cv1.w = np.ones(blk.cv1.spec.weight_shape, DTYPE)
         c = DTYPE(1.5)
         x = np.full((1, 2, 32, 32), c, DTYPE)
         pooled = pool2d(x, "avg", 2, 1, 0)  # constant survives averaging

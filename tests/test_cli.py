@@ -194,6 +194,25 @@ class TestSelftestAndUsage:
         assert "12/12 suites passed" in out
         assert "FAIL" not in out
 
+    def test_selftest_checks_still_run_under_optimize(self):
+        # a cost walk that counts nothing must fail two checks even under -O,
+        # which strips assert statements
+        stub = ("from vajrakit import selftest\n"
+                "from vajrakit.cost import Tally\n"
+                "selftest.block_tally = lambda blk, h, w: (Tally(), h, w)\n"
+                "print(selftest.run(lambda line: None))\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", stub],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str(["nn-blocks: merudanda_x census 2n+2",
+                                           "cost-model: analytic MACs == counter"])
+
+    def test_selftest_green_under_optimize(self):
+        proc = subprocess.run([sys.executable, "-O", "-m", "vajrakit.cli", "selftest"],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0
+        assert "12/12 suites passed" in proc.stdout
+
     def test_unknown_command_is_usage_error(self):
         code, _, _ = run_cli("transmogrify")
         assert code == 2

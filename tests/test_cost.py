@@ -11,7 +11,6 @@ from vajrakit.cost import (
     COST_REPORT_SCHEMA,
     CostReport,
     adown_cost,
-    attention_cost,
     block_cost,
     block_tally,
     conv_cost,
@@ -100,21 +99,26 @@ class TestADownCost:
         assert ref.macs == adown_cost(64, 128, 32, 32).macs == 5_242_880
 
 
+def attention_macs(c, h, w, heads):
+    tally, _, _ = block_tally(B.AttentionV2(c, heads), h, w)
+    return tally.macs
+
+
 class TestAttentionCost:
     def test_single_site_degenerate(self):
         c, heads = 16, 2
-        macs, _ = attention_cost(c, 1, 1, heads)
+        macs = attention_macs(c, 1, 1, heads)
         conv_part = c * 2 * c + c * c + 9 * c + c * c
         assert macs - conv_part == 2 * c  # matmul terms collapse to 2c
 
     def test_matmul_term_example(self):
-        macs, _ = attention_cost(64, 8, 8, 1)
+        macs = attention_macs(64, 8, 8, 1)
         conv_part = 64 * 64 * (2 * 64 + 64 + 64) + 64 * 9 * 64
         assert macs - conv_part == 524_288  # 2 * 64^2 * 64
 
     def test_quadratic_scaling_in_sites(self):
         def matmul_part(h, w):
-            macs, _ = attention_cost(32, h, w, 2)
+            macs = attention_macs(32, h, w, 2)
             conv = h * w * (32 * 64 + 32 * 32 + 9 * 32 + 32 * 32)
             return macs - conv
 
@@ -122,17 +126,15 @@ class TestAttentionCost:
 
     def test_divisibility(self):
         with pytest.raises(ValueError):
-            attention_cost(30, 4, 4, 4)
+            attention_macs(30, 4, 4, 4)
 
     def test_counter_equality_on_live_attention(self, rng):
         blk = randomize(B.AttentionV2(16, 2), rng)
         x = rand_input(rng, 1, 16, 4, 4)
         with oracle.reference() as ref:
             blk.forward(x)
-        macs, _ = attention_cost(16, 4, 4, 2)
-        assert ref.macs == macs
         tally, _, _ = block_tally(blk, 4, 4)
-        assert tally.macs == macs
+        assert ref.macs == tally.macs == attention_macs(16, 4, 4, 2)
 
 
 class TestBlockCounterEquality:

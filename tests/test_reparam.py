@@ -17,7 +17,7 @@ from vajrakit.reparam import (
     verify_equivalence,
 )
 from vajrakit.tensor import DTYPE, BNParams, ConvSpec, batchnorm_infer, conv2d
-from vajrakit.weights import init_weights
+from vajrakit.weights import WeightStore, init_weights
 
 SMALL_CFG = """
 block a type=conv_bn_act in=3 out=8 k=3 s=2 from=input
@@ -144,7 +144,7 @@ class TestFuseRepVGG:
             blk.bn3 = rand_bn(rng, c)
             blk.bn1 = rand_bn(rng, c)
             if identity:
-                blk.bn_id = rand_bn(rng, c)
+                blk.bnid = rand_bn(rng, c)
             fused = blk.fuse()
             x = rand_input(rng, 2, c, 16, 16)
             assert np.abs(blk.forward(x) - fused.forward(x)).max() <= 1e-4
@@ -202,15 +202,18 @@ class TestReparamGraph:
         store = init_weights(graph, 9)
         # randomize BN statistics in the store to exercise the fold algebra
         gen = np.random.default_rng(10)
+        randomized = WeightStore()
         for name, arr in store.items():
             if name.endswith(".mean"):
-                arr[...] = gen.normal(0, 0.2, arr.shape).astype(DTYPE)
+                arr = gen.normal(0, 0.2, arr.shape).astype(DTYPE)
             elif name.endswith(".var"):
-                arr[...] = gen.uniform(0.25, 1.5, arr.shape).astype(DTYPE)
+                arr = gen.uniform(0.25, 1.5, arr.shape).astype(DTYPE)
             elif name.endswith(".gamma"):
-                arr[...] = gen.uniform(0.8, 1.25, arr.shape).astype(DTYPE)
+                arr = gen.uniform(0.8, 1.25, arr.shape).astype(DTYPE)
             elif name.endswith(".beta"):
-                arr[...] = gen.normal(0, 0.1, arr.shape).astype(DTYPE)
+                arr = gen.normal(0, 0.1, arr.shape).astype(DTYPE)
+            randomized.add(name, arr)
+        store = randomized
         fused_graph, fused_store = reparam_graph(graph, store)
         base = Model(graph).bind(store)
         fused = Model(fused_graph).bind(fused_store)
@@ -221,8 +224,11 @@ class TestReparamGraph:
 
     @pytest.mark.parametrize("scale", SCALES)
     def test_fused_arrays_float32_c_contiguous(self, scale):
-        graph, _ = parse_config("fused=1\n" + preset_text(scale))
-        for name, arr, _ in Model(graph).named_arrays():
+        graph, _ = parse_config(preset_text(scale))
+        fused_graph, store = reparam_graph(graph, init_weights(graph, 0))
+        for name, arr in store.items():
+            assert arr.dtype == DTYPE and arr.flags.c_contiguous, name
+        for name, arr, _ in Model(fused_graph).bind(store).named_arrays():
             assert arr.dtype == DTYPE and arr.flags.c_contiguous, name
 
     def test_missing_weight_rejected(self):

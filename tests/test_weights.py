@@ -1,12 +1,23 @@
-"""VJW1 bytes are untrusted: WeightStore.load must reject a damaged file with
-a WeightFormatError, never another exception."""
+"""Weight ownership and the VJW1 reader.
+
+VJW1 bytes are untrusted: WeightStore.load must reject a damaged file with
+a WeightFormatError, never another exception. The store is the one owner
+of weight arrays: bound models share them read-only, and building a model
+from config text allocates none."""
+import hashlib
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from vajrakit.graph import Model, parse_config
+from vajrakit.presets import SCALES, load_preset, preset_text
+from vajrakit.reparam import reparam_graph
 from vajrakit.tensor import DTYPE
-from vajrakit.weights import WeightFormatError, WeightStore
+from vajrakit.weights import WeightFormatError, WeightStore, init_weights
 
 
 @pytest.fixture(scope="module")
@@ -60,3 +71,109 @@ def test_non_utf8_name_is_a_format_error(small_vjw, tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(WeightFormatError, match="UTF-8"):
         WeightStore.load(path)
+
+
+def test_huge_declared_tensor_rejected_before_allocating(tmp_path):
+    # one tensor declaring 65535 x 65535 x 4 floats (68 GB) and carrying none
+    header = b"VJW1" + struct.pack("<I", 1) + struct.pack("<H", 1) + b"x"
+    path = tmp_path / "huge.vjw"
+    path.write_bytes(header + struct.pack("<B3I", 3, 65535, 65535, 4))
+    tracemalloc.start()
+    try:
+        with pytest.raises(WeightFormatError, match="truncated"):
+            WeightStore.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+class TestOwnership:
+    """The store is the one owner of weight arrays and holds them read-only."""
+
+    def test_add_adopts_only_arrays_nothing_else_can_write(self):
+        frozen = np.arange(6, dtype=DTYPE)
+        frozen.flags.writeable = False
+        writeable = np.arange(6, dtype=DTYPE)
+        view = frozen[::2]
+        wide = np.arange(6, dtype=np.float64)
+        wide.flags.writeable = False
+        store = WeightStore()
+        for name, arr in (("frozen", frozen), ("writeable", writeable), ("view", view),
+                          ("wide", wide), ("list", [1.0, 2.0])):
+            store.add(name, arr)
+        assert store["frozen"] is frozen
+        for name in ("writeable", "view", "wide", "list"):
+            got = store[name]
+            assert got.dtype == DTYPE and got.flags.c_contiguous and got.flags.owndata, name
+        writeable[0] = 99.0
+        assert store["writeable"][0] == 0.0
+        assert not np.shares_memory(store["view"], frozen)
+
+    def test_every_stored_array_is_read_only(self, small_vjw, tmp_path):
+        store = WeightStore()
+        store.add("a", np.zeros(3, DTYPE))
+        path = tmp_path / "w.vjw"
+        path.write_bytes(small_vjw)
+        loaded = WeightStore.load(path)
+        for s in (store, loaded):
+            for name, arr in s.items():
+                assert not arr.flags.writeable, name
+                with pytest.raises(ValueError):
+                    arr[...] = 1.0
+
+    def test_loaded_arrays_own_aligned_memory(self, small_vjw, tmp_path):
+        path = tmp_path / "w.vjw"
+        path.write_bytes(small_vjw)
+        for name, arr in WeightStore.load(path).items():
+            assert arr.dtype == DTYPE and arr.flags.owndata and arr.flags.aligned, name
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_bound_arrays_are_the_store_arrays(self, scale):
+        graph, _ = parse_config(preset_text(scale))
+        store = init_weights(graph, 0)
+        fused_graph, fused_store = reparam_graph(graph, store)
+        for g, s in ((graph, store), (fused_graph, fused_store)):
+            for name, arr, _ in Model(g).bind(s).named_arrays():
+                assert np.shares_memory(arr, s[name]) and not arr.flags.writeable, name
+
+    def test_forward_leaves_the_store_unchanged(self):
+        graph, _ = load_preset("N")
+        store = init_weights(graph, 0)
+        before = _store_sha(store)
+        x = np.random.default_rng(0).standard_normal((1, 3, 64, 64)).astype(DTYPE)
+        Model(graph).bind(store).forward(x)
+        assert _store_sha(store) == before
+
+
+def _store_sha(store) -> str:
+    h = hashlib.sha256()
+    for name, arr in store.items():
+        h.update(name.encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def _parse_peak(text: str) -> int:
+    tracemalloc.start()
+    try:
+        parse_config(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestParseAllocatesNoWeights:
+    def test_preset_x(self):
+        assert _parse_peak(preset_text("X")) < 1 << 20
+
+    def test_wide_large_kernel_line(self):
+        # a zero-filled kernel would be 4096 * 4096 * 49 floats, 3.3 GB
+        assert _parse_peak("block a type=conv_bn_act in=4096 out=4096 k=7 from=input") < 1 << 20
+
+    def test_sppf_under_deep_concat_chain(self):
+        lines = ["block c0 type=conv_bn_act in=3 out=8 from=input"]
+        lines += [f"block c{i} type=concat from=c{i - 1},c{i - 1}" for i in range(1, 15)]
+        lines.append(f"block s type=sppf in={8 << 14} out=8 from=c14")
+        graph, _ = parse_config("\n".join(lines))
+        assert graph.nodes[-1].attrs["in"] == 131072

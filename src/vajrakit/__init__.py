@@ -28,7 +28,7 @@ from . import blocks, cost, oracle, reparam
 from .cost import adown_cost, block_cost, conv_cost, graph_cost
 from .graph import ConfigError, Model, ModelGraph, ScaleConfig, forward_graph, parse_config, serialize_config
 from .presets import REFERENCE_TOTALS, SCALES, load_preset, preset_text
-from .reparam import fuse_conv_bn, fuse_repvgg, embed_kernel, reparam_graph, verify_equivalence
+from .reparam import fuse_block, fuse_conv_bn, fuse_repvgg, embed_kernel, reparam_graph, verify_equivalence
 from .weights import WeightFormatError, WeightStore, init_weights
 
 __version__ = "0.1.0"

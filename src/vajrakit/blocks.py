@@ -15,14 +15,16 @@ Every other block is a ``Composite`` and lists its children in
 ``CHILDREN``: (attribute, segment) pairs in weight-name order, which need
 not be forward order. A child's arrays are named ``<prefix>.<segment>``; a
 list attribute expands to ``<segment>0``, ``<segment>1``, ...; an empty
-segment reuses the parent's prefix. One walk over both lists, ``slots``,
-yields (name, owner, attribute, is_stat), where ``setattr(owner,
-attribute, array)`` binds the name; ``named_arrays`` reads the same walk.
+segment reuses the parent's prefix. One walk over both lists, ``leaves``,
+yields (prefix, leaf) for every leaf; ``slots`` expands each leaf's
+``ARRAYS`` into (name, owner, attribute, is_stat), where ``setattr(owner,
+attribute, array)`` binds the name, and ``named_arrays`` reads the slots.
 ``is_stat`` marks batchnorm running statistics: store entries, not
-learnable parameters. ``fuse()`` returns the inference-form twin with every
-batchnorm folded away (see reparam.py): leaves define their own, and a
-composite's is a shallow copy holding its fused children. cost.py walks the
-same lists.
+learnable parameters. ``fuse()`` returns the inference-form structure,
+unbound and computing nothing: ``ConvBNAct`` and ``RepVGGBlock`` give a
+zero-view ``ConvAct`` over their (3x3) spec, ``ConvAct`` gives itself, and a
+composite a shallow copy holding its fused children. reparam.fuse_block
+folds the arrays into it. cost.py walks the same lists.
 """
 from __future__ import annotations
 
@@ -31,7 +33,6 @@ import math
 
 import numpy as np
 
-from . import reparam
 from .tensor import (
     DTYPE,
     BNParams,
@@ -73,16 +74,22 @@ class Block:
             else:
                 yield seg, child
 
-    def slots(self, prefix):
-        for path in self.ARRAYS:
-            value = getattr(self, path)
-            if isinstance(value, BNParams):
-                for field, is_stat in _BN_FIELDS:
-                    yield f"{prefix}.{path}.{field}", value, field, is_stat
-            elif value is not None:
-                yield f"{prefix}.{path}", self, path, False
+    def leaves(self, prefix):
+        """(prefix, leaf) for every leaf under this block, in weight-name order."""
+        if not self.CHILDREN:
+            yield prefix, self
         for seg, child in self.children():
-            yield from child.slots(f"{prefix}.{seg}" if seg else prefix)
+            yield from child.leaves(f"{prefix}.{seg}" if seg else prefix)
+
+    def slots(self, prefix):
+        for leaf_prefix, leaf in self.leaves(prefix):
+            for path in leaf.ARRAYS:
+                value = getattr(leaf, path)
+                if isinstance(value, BNParams):
+                    for field, is_stat in _BN_FIELDS:
+                        yield f"{leaf_prefix}.{path}.{field}", value, field, is_stat
+                elif value is not None:
+                    yield f"{leaf_prefix}.{path}", leaf, path, False
 
     def named_arrays(self, prefix):
         for name, owner, attr, is_stat in self.slots(prefix):
@@ -111,8 +118,8 @@ class ConvBNAct(Block):
         return activation(batchnorm_infer(conv2d(x, self.spec, self.w), self.bn), self.act)
 
     def fuse(self) -> "ConvAct":
-        fused = reparam.fuse_conv_bn(self.spec, self.w, None, self.bn)
-        return ConvAct.from_fused(fused, self.act)
+        s = self.spec
+        return ConvAct(s.c_in, s.c_out, s.k, s.stride, s.groups, self.act, s.padding)
 
 
 class ConvAct(Block):
@@ -127,14 +134,6 @@ class ConvAct(Block):
         self.w = _unbound(self.spec.weight_shape)
         self.b = _unbound(c_out)
         self.act = act
-
-    @classmethod
-    def from_fused(cls, fused: "reparam.FusedConv", act: str) -> "ConvAct":
-        s = fused.spec
-        out = cls(s.c_in, s.c_out, s.k, s.stride, s.groups, act, padding=s.padding)
-        out.w = fused.weights
-        out.b = fused.bias
-        return out
 
     @property
     def c_in(self):
@@ -151,8 +150,8 @@ class RepVGGBlock(Block):
     """Two-branch train-form block: 3x3+BN plus 1x1+BN, summed, then act.
 
     The optional identity+BN branch is only legal for stride 1 with equal
-    channel counts. The whole block collapses to a single 3x3 conv under
-    reparam.fuse_repvgg.
+    channel counts. The whole block collapses to a single 3x3 conv, whose
+    arrays reparam.fuse_repvgg computes.
     """
 
     ARRAYS = ("w3", "bn3", "w1", "bn1", "bnid")
@@ -185,7 +184,7 @@ class RepVGGBlock(Block):
         return activation(y, self.act)
 
     def fuse(self) -> ConvAct:
-        return ConvAct.from_fused(reparam.fuse_repvgg(self), self.act)
+        return ConvAct(self.spec3.c_in, self.spec3.c_out, 3, self.spec3.stride, act=self.act)
 
 
 class Composite(Block):

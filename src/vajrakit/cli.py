@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -19,14 +20,24 @@ from .tensor import DTYPE, ShapeError
 from .weights import WeightFormatError, WeightStore, init_weights
 
 
-def _parse_shape(text: str) -> tuple[int, int, int, int]:
-    try:
-        dims = tuple(int(p) for p in text.lower().split("x"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"shape wants NxCxHxW, got {text!r}") from None
-    if len(dims) != 4 or min(dims) < 1:
-        raise argparse.ArgumentTypeError(f"shape wants four positive dims NxCxHxW, got {text!r}")
-    return dims
+def _checked(convert, ok, want: str):
+    """An argparse type: ``convert`` the text, then require ``ok`` of the value."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"wants {want}, got {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"wants {want}, got {text!r}")
+        return value
+    return parse
+
+
+_parse_shape = _checked(lambda text: tuple(int(p) for p in text.lower().split("x")),
+                        lambda dims: len(dims) == 4 and min(dims) >= 1,
+                        "four positive dims NxCxHxW")
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_tolerance = _checked(float, lambda v: math.isfinite(v) and v >= 0, "a finite non-negative number")
 
 
 def _load_config(path: str):
@@ -90,15 +101,8 @@ def cmd_reparam_check(args) -> int:
     n, c, h, w = args.shape
     base = Model(graph).bind(store)
     fused = Model(fused_graph).bind(fused_store)
-
-    def run_base(x):
-        return base.stage_outputs(x)
-
-    def run_fused(x):
-        return fused.stage_outputs(x)
-
-    report = verify_equivalence(run_base, run_fused, args.trials, (n, c, h, w),
-                                args.tol, seed=args.seed)
+    report = verify_equivalence(base.stage_outputs, fused.stage_outputs, args.trials,
+                                (n, c, h, w), args.tol, seed=args.seed)
     worst = max(report.trials, key=lambda t: t.max_abs)
     print(f"trials: {len(report.trials)}  shape: {n}x{c}x{h}x{w}")
     print(f"max abs diff: {report.max_abs:.3e}  (worst trial rel: {worst.max_rel:.3e})")
@@ -191,8 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reparam-check", help="fuse the graph and verify equivalence")
     add_common(p, "1x3x320x320", with_weights=True, with_seed=True)
-    p.add_argument("--tol", type=float, default=1e-3, help="max abs diff gate (default 1e-3)")
-    p.add_argument("--trials", type=int, default=3, help="random inputs to compare (default 3)")
+    p.add_argument("--tol", type=_tolerance, default=1e-3, help="max abs diff gate (default 1e-3)")
+    p.add_argument("--trials", type=_positive_int, default=3,
+                   help="random inputs to compare (default 3)")
     p.add_argument("--out", help="write fused weights here (VJW1)")
     p.set_defaults(fn=cmd_reparam_check)
 

@@ -317,8 +317,8 @@ def _validate_channels(graph: ModelGraph) -> None:
 
 
 def build_block(node: BlockNode, fused: bool = False):
-    """Construct the zero-initialized block for a graph node from the keys it
-    carries (None for the parameter-free upsample/concat kinds)."""
+    """Construct the unbound block for a graph node from the keys it carries,
+    or its fuse() structure when fused (None for upsample/concat)."""
     cls, args = _KINDS[node.kind]
     if cls is None:
         return None
@@ -448,16 +448,6 @@ class Model:
                 last[node.id] = y
             del y
         return tagged or last
-
-    def fuse(self) -> "Model":
-        fused_graph = ModelGraph(self.graph.nodes, self.graph.scale, fused=True)
-        out = object.__new__(Model)
-        out.graph = fused_graph
-        out.blocks = {
-            nid: (blk.fuse() if blk is not None else None)
-            for nid, blk in self.blocks.items()
-        }
-        return out
 
 
 def forward_graph(graph: ModelGraph, store, x: np.ndarray) -> dict:

@@ -1,9 +1,12 @@
 """Structural reparameterization: fold batchnorm into convolutions and
 collapse multi-branch RepVGG blocks into single 3x3 convolutions.
 
-The fusion covers the affine part only; activations stay outside. All
-transforms are pure and idempotent: fusing an already-fused model returns
-bit-identical weights.
+Every fold lives here: ``fuse_conv_bn`` and ``fuse_repvgg`` return one
+leaf's folded (weights, bias); ``fuse_block`` returns a block's ``fuse()``
+structure with those arrays set, its bound inference-form twin. The fusion
+covers the affine part only; activations stay outside. All transforms are
+pure and idempotent: fusing an already-fused model returns bit-identical
+weights.
 """
 from __future__ import annotations
 
@@ -12,20 +15,14 @@ from typing import Callable
 
 import numpy as np
 
+from . import blocks as B
+from .graph import Model, ModelGraph
 from .tensor import DTYPE, BNParams, ConvSpec, ShapeError
-
-
-@dataclass
-class FusedConv:
-    """A convolution carrying its own bias: the inference form of conv+BN."""
-
-    spec: ConvSpec
-    weights: np.ndarray
-    bias: np.ndarray
+from .weights import WeightStore
 
 
 def fuse_conv_bn(spec: ConvSpec, weights: np.ndarray, bias: np.ndarray | None,
-                 bn: BNParams) -> FusedConv:
+                 bn: BNParams) -> tuple[np.ndarray, np.ndarray]:
     """Fold batchnorm statistics into conv weights and bias.
 
     W' = W * gamma / sqrt(var + eps) per output channel,
@@ -38,11 +35,7 @@ def fuse_conv_bn(spec: ConvSpec, weights: np.ndarray, bias: np.ndarray | None,
         raise ValueError("var + eps must be positive to fold batchnorm")
     scale = bn.gamma / np.sqrt(denom_sq)
     b = np.zeros(spec.c_out, DTYPE) if bias is None else np.asarray(bias, DTYPE)
-    fused_w = weights * scale[:, None, None, None]
-    fused_b = (b - bn.mean) * scale + bn.beta
-    out_spec = ConvSpec(spec.c_in, spec.c_out, spec.k, spec.stride, spec.padding,
-                        spec.groups, has_bias=True)
-    return FusedConv(out_spec, fused_w, fused_b)
+    return weights * scale[:, None, None, None], (b - bn.mean) * scale + bn.beta
 
 
 def embed_kernel(weights: np.ndarray, target: int) -> np.ndarray:
@@ -72,23 +65,35 @@ def identity_kernel(c_out: int, c_in_per_group: int, k: int) -> np.ndarray:
     return w
 
 
-def fuse_repvgg(block) -> FusedConv:
+def fuse_repvgg(block) -> tuple[np.ndarray, np.ndarray]:
     """Collapse a RepVGGBlock's branches into one 3x3 conv with bias.
 
     Each branch is BN-folded first; the 1x1 branch (and the identity branch,
     when present) is embedded into a 3x3 kernel, then weights and biases sum.
     """
-    f3 = fuse_conv_bn(block.spec3, block.w3, None, block.bn3)
-    f1 = fuse_conv_bn(block.spec1, block.w1, None, block.bn1)
-    w = f3.weights + embed_kernel(f1.weights, 3)
-    b = f3.bias + f1.bias
+    w3, b3 = fuse_conv_bn(block.spec3, block.w3, None, block.bn3)
+    w1, b1 = fuse_conv_bn(block.spec1, block.w1, None, block.bn1)
+    w = w3 + embed_kernel(w1, 3)
+    b = b3 + b1
     if block.bnid is not None:
         spec_id = ConvSpec(block.spec3.c_in, block.spec3.c_out, 1, 1, 0)
         w_id = identity_kernel(spec_id.c_out, spec_id.c_in, 1)
-        fid = fuse_conv_bn(spec_id, w_id, None, block.bnid)
-        w = w + embed_kernel(fid.weights, 3)
-        b = b + fid.bias
-    return FusedConv(f3.spec, w, b)
+        wid, bid = fuse_conv_bn(spec_id, w_id, None, block.bnid)
+        w = w + embed_kernel(wid, 3)
+        b = b + bid
+    return w, b
+
+
+def fuse_block(block):
+    """``block.fuse()`` with each folded leaf's arrays set; ConvAct leaves are
+    their own twins and keep their arrays."""
+    fused = block.fuse()
+    for (_, leaf), (_, out) in zip(block.leaves(""), fused.leaves(""), strict=True):
+        if isinstance(leaf, B.ConvBNAct):
+            out.w, out.b = fuse_conv_bn(leaf.spec, leaf.w, None, leaf.bn)
+        elif isinstance(leaf, B.RepVGGBlock):
+            out.w, out.b = fuse_repvgg(leaf)
+    return fused
 
 
 @dataclass
@@ -129,15 +134,14 @@ def reparam_graph(graph, store):
     RepVGG blocks or standalone batchnorm. Graphs already marked fused pass
     through with bit-identical weights, so the pass is idempotent.
     """
-    from .graph import Model  # local import avoids a module cycle
-    from .weights import WeightStore
-
-    fused = Model(graph).bind(store).fuse()
     out = WeightStore()
-    for name, arr, _ in fused.named_arrays():
-        arr.flags.writeable = False  # a folded array has no other holder: adopt it
-        out.add(name, arr)
-    return fused.graph, out
+    for node_id, blk in Model(graph).bind(store).blocks.items():
+        if blk is None:
+            continue
+        for name, arr, _ in fuse_block(blk).named_arrays(node_id):
+            arr.flags.writeable = False  # a folded array has no other holder: adopt it
+            out.add(name, arr)
+    return ModelGraph(graph.nodes, graph.scale, fused=True), out
 
 
 def verify_equivalence(f: Callable, g: Callable, trials: int, shape: tuple,

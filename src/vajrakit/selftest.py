@@ -17,7 +17,7 @@ from . import oracle
 from .cost import adown_cost, block_tally
 from .graph import Model, parse_config
 from .presets import SCALES, load_preset
-from .reparam import fuse_repvgg, reparam_graph, verify_equivalence
+from .reparam import fuse_block, reparam_graph, verify_equivalence
 from .tensor import DTYPE, BNParams, ConvSpec, conv2d, conv_out_hw, pool2d, softmax_lastdim
 from .weights import WeightStore, init_weights
 
@@ -87,7 +87,7 @@ def check_repvgg_fusion():
         blk.bn1 = _rand_bn(rng, c)
         if identity:
             blk.bnid = _rand_bn(rng, c)
-        fused = B.ConvAct.from_fused(fuse_repvgg(blk), blk.act)
+        fused = fuse_block(blk)
         x = rng.standard_normal((2, c, 16, 16)).astype(DTYPE)
         diff = np.abs(blk.forward(x) - fused.forward(x)).max()
         _check(diff <= 1e-4, f"fusion diff {diff} on config {i}")
@@ -181,8 +181,7 @@ block c type=adown in=8 out=16 from=b
     x = np.random.default_rng(0).standard_normal((1, 3, 32, 32)).astype(DTYPE)
     base = Model(graph).bind(store)
     fused = Model(g1).bind(s1)
-    rep = verify_equivalence(lambda t: base.stage_outputs(t),
-                             lambda t: fused.stage_outputs(t), 3, x.shape, 1e-3)
+    rep = verify_equivalence(base.stage_outputs, fused.stage_outputs, 3, x.shape, 1e-3)
     _check(rep.passed, f"graph fusion diff {rep.max_abs}")
 
 

@@ -60,21 +60,21 @@ class WeightStore:
         return self._data.items()
 
     def save(self, path) -> None:
+        """Write VJW1; a rejected tensor raises before the file is opened."""
+        headers = []
+        for name, arr in self._data.items():
+            encoded = name.encode("utf-8")
+            if len(encoded) > 0xFFFF:
+                raise WeightFormatError(f"name too long: {name[:32]!r}...")
+            if any(d > _U32_MAX for d in arr.shape):
+                raise WeightFormatError(f"dimension overflow in {name!r}: {arr.shape}")
+            headers.append(struct.pack("<H", len(encoded)) + encoded
+                           + struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
         with open(path, "wb") as f:
             f.write(MAGIC)
             f.write(struct.pack("<I", len(self._data)))
-            for name, arr in self._data.items():
-                encoded = name.encode("utf-8")
-                if len(encoded) > 0xFFFF:
-                    raise WeightFormatError(f"name too long: {name[:32]!r}...")
-                if arr.ndim > 0xFF:
-                    raise WeightFormatError(f"rank {arr.ndim} exceeds u8")
-                if any(d > _U32_MAX for d in arr.shape):
-                    raise WeightFormatError(f"dimension overflow in {name!r}: {arr.shape}")
-                f.write(struct.pack("<H", len(encoded)))
-                f.write(encoded)
-                f.write(struct.pack("<B", arr.ndim))
-                f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            for header, arr in zip(headers, self._data.values()):
+                f.write(header)
                 f.write(arr.astype("<f4", copy=False).tobytes())
 
     @classmethod

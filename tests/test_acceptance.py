@@ -17,7 +17,7 @@ from vajrakit import oracle
 from vajrakit.cost import adown_cost, block_tally, conv_cost, graph_cost
 from vajrakit.graph import Model, parse_config
 from vajrakit.presets import REFERENCE_TOTALS, SCALES, load_preset, preset_text
-from vajrakit.reparam import reparam_graph, verify_equivalence
+from vajrakit.reparam import fuse_block, reparam_graph, verify_equivalence
 from vajrakit.tensor import DTYPE, ConvSpec
 from vajrakit.weights import WeightStore, init_weights
 
@@ -43,7 +43,7 @@ def test_criterion_1_reparameterization_equivalence():
         blk.bn1 = rand_bn(rng, c)
         if identity:
             blk.bnid = rand_bn(rng, c)
-        fused = blk.fuse()
+        fused = fuse_block(blk)
         x = rand_input(rng, 2, c, 16, 16)
         diff = float(np.abs(blk.forward(x) - fused.forward(x)).max())
         worst = max(worst, diff)

@@ -1,11 +1,14 @@
 """Config parsing, scale invariants, weight persistence, graph execution."""
+import re
 import struct
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
 
 from conftest import rand_input
+from test_config_text import valid_config
 from vajrakit import graph as graph_module
 from vajrakit.graph import (
     ConfigError,
@@ -340,6 +343,34 @@ block c type=concat from=u,a
         graph, _ = parse_config("block d type=adown in=8 out=16 from=input")
         with pytest.raises(ShapeError, match="node 'd'"):
             propagate_shapes(graph, 8, 33, 32)
+
+
+def _outcome(fn):
+    """(result, None), or (None, the node id a ShapeError names)."""
+    try:
+        return fn(), None
+    except ShapeError as e:
+        return None, re.match(r"node '([^']*)'", str(e)).group(1)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(valid_config())
+def test_static_shapes_match_runtime_on_random_graphs(text):
+    # every drawn graph in both forms: train, and fused=1 built from config
+    body = "\n".join(line for line in text.splitlines() if line != "fused=1")
+    for header in ("", "fused=1\n"):
+        try:
+            graph, _ = parse_config(header + body)
+        except ConfigError:
+            assume(False)
+        c = graph.input_channels or 3
+        static, static_node = _outcome(lambda: propagate_shapes(graph, c, 16, 16))
+        outs, runtime_node = _outcome(
+            lambda: Model(graph).forward(np.zeros((1, c, 16, 16), DTYPE)))
+        assert static_node == runtime_node
+        if static is not None:
+            for node in graph.nodes:
+                assert outs[node.id].shape == (1, *static[node.id]), node.id
 
 
 class TestInitWeights:

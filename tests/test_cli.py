@@ -136,6 +136,16 @@ class TestReparamCheck:
         assert "max abs diff: 0.000e+00" in out
 
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--trials", "0"), ("--trials", "-1"), ("--trials", "two"),
+        ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1e-3"), ("--tol", "tight"),
+    ])
+    def test_bad_trials_or_tol_is_usage_error(self, preset_n, flag, value):
+        code, out, err = run_cli("reparam-check", "--config", preset_n, f"{flag}={value}")
+        assert code == 2
+        assert out == "" and "Traceback" not in err
+
+
 class TestForward:
     def test_fixed_seed_byte_identical_across_runs(self, preset_n, tmp_path):
         out1, out2 = tmp_path / "a.vjw", tmp_path / "b.vjw"

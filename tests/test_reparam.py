@@ -10,6 +10,7 @@ from vajrakit.oracle import conv2d_naive
 from vajrakit.presets import SCALES, preset_text
 from vajrakit.reparam import (
     embed_kernel,
+    fuse_block,
     fuse_conv_bn,
     fuse_repvgg,
     identity_kernel,
@@ -33,19 +34,19 @@ class TestFuseConvBN:
         spec = ConvSpec(4, 6, 3, 1, 1)
         w = rng.standard_normal(spec.weight_shape).astype(DTYPE)
         b = rng.standard_normal(6).astype(DTYPE)
-        fused = fuse_conv_bn(spec, w, b, BNParams.identity(6, eps=0.0))
-        assert np.array_equal(fused.weights, w)
-        assert np.array_equal(fused.bias, b)
-        assert fused.spec.has_bias
+        fused_w, fused_b = fuse_conv_bn(spec, w, b, BNParams.identity(6, eps=0.0))
+        assert np.array_equal(fused_w, w)
+        assert np.array_equal(fused_b, b)
+        assert B.ConvBNAct(4, 6, 3).fuse().spec.has_bias
 
     def test_zero_gain_folds_to_beta(self, rng):
         spec = ConvSpec(3, 4, 1)
         w = rng.standard_normal(spec.weight_shape).astype(DTYPE)
         bn = BNParams(np.zeros(4, DTYPE), np.full(4, 2.5, DTYPE),
                       rng.standard_normal(4).astype(DTYPE), np.ones(4, DTYPE), 1e-3)
-        fused = fuse_conv_bn(spec, w, None, bn)
-        assert np.all(fused.weights == 0.0)
-        assert np.array_equal(fused.bias, bn.beta)
+        fused_w, fused_b = fuse_conv_bn(spec, w, None, bn)
+        assert np.all(fused_w == 0.0)
+        assert np.array_equal(fused_b, bn.beta)
 
     def test_equivalence_on_random_instances(self, rng):
         # Both float32 paths, conv -> BN and the folded conv, are compared with
@@ -63,7 +64,7 @@ class TestFuseConvBN:
             spec = ConvSpec(4 * g, 6 * g, 3, 1, 1, groups=g)
             w = rng.standard_normal(spec.weight_shape).astype(DTYPE)
             bn = rand_bn(rng, spec.c_out)
-            fused = fuse_conv_bn(spec, w, None, bn)
+            fused_w, fused_b = fuse_conv_bn(spec, w, None, bn)
             x = rand_input(rng, 2, spec.c_in, 7, 7)
             s = bn.gamma.astype(np.float64) / np.sqrt(bn.var.astype(np.float64) + bn.eps)
             mean, beta = (v.astype(np.float64)[None, :, None, None] for v in (bn.mean, bn.beta))
@@ -74,7 +75,7 @@ class TestFuseConvBN:
             k = spec.k * spec.k * (spec.c_in // spec.groups)
             bound = gamma(k + 7) * (acc * np.abs(s) + np.abs(mean * s) + np.abs(beta))
             for y in (batchnorm_infer(conv2d(x, spec, w), bn),
-                      conv2d(x, fused.spec, fused.weights, fused.bias)):
+                      conv2d(x, spec, fused_w, fused_b)):
                 assert np.all(np.abs(y - ref) <= bound)
 
     def test_nonpositive_denominator_rejected(self, rng):
@@ -128,10 +129,10 @@ class TestFuseRepVGG:
         blk = B.RepVGGBlock(6, 6)
         blk.w3 = rng.standard_normal(blk.spec3.weight_shape).astype(DTYPE)
         blk.bn3 = rand_bn(rng, 6)
-        fused = fuse_repvgg(blk)
-        alone = fuse_conv_bn(blk.spec3, blk.w3, None, blk.bn3)
-        assert np.array_equal(fused.weights, alone.weights)
-        assert np.array_equal(fused.bias, alone.bias)
+        fused_w, fused_b = fuse_repvgg(blk)
+        alone_w, alone_b = fuse_conv_bn(blk.spec3, blk.w3, None, blk.bn3)
+        assert np.array_equal(fused_w, alone_w)
+        assert np.array_equal(fused_b, alone_b)
 
     @pytest.mark.parametrize("identity", [False, True])
     def test_equivalence_sweep(self, rng, identity):
@@ -145,7 +146,7 @@ class TestFuseRepVGG:
             blk.bn1 = rand_bn(rng, c)
             if identity:
                 blk.bnid = rand_bn(rng, c)
-            fused = blk.fuse()
+            fused = fuse_block(blk)
             x = rand_input(rng, 2, c, 16, 16)
             assert np.abs(blk.forward(x) - fused.forward(x)).max() <= 1e-4
 
@@ -255,7 +256,7 @@ class TestVerifyEquivalence:
     def test_repvgg_primary_use(self, rng):
         blk = B.RepVGGBlock(8, 8)
         randomize(blk, rng, with_bn=True)
-        fused = blk.fuse()
+        fused = fuse_block(blk)
         report = verify_equivalence(blk.forward, fused.forward,
                                     trials=5, shape=(2, 8, 16, 16), tol=1e-4)
         assert report.passed

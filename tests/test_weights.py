@@ -13,6 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from vajrakit import blocks as B
+from vajrakit.cost import graph_cost
 from vajrakit.graph import Model, parse_config
 from vajrakit.presets import SCALES, load_preset, preset_text
 from vajrakit.reparam import reparam_graph
@@ -88,6 +90,17 @@ def test_huge_declared_tensor_rejected_before_allocating(tmp_path):
     assert peak < 1 << 20
 
 
+def test_rejected_save_leaves_the_file_untouched(small_vjw, tmp_path):
+    path = tmp_path / "good.vjw"
+    path.write_bytes(small_vjw)
+    store = WeightStore()
+    store.add("a", np.ones((2, 2), DTYPE))
+    store.add("n" * 70000, np.ones(1, DTYPE))  # longer than a u16 name length
+    with pytest.raises(WeightFormatError, match="name too long"):
+        store.save(path)
+    assert path.read_bytes() == small_vjw
+
+
 class TestOwnership:
     """The store is the one owner of weight arrays and holds them read-only."""
 
@@ -154,13 +167,17 @@ def _store_sha(store) -> str:
     return h.hexdigest()
 
 
-def _parse_peak(text: str) -> int:
+def _peak(fn, *args) -> int:
     tracemalloc.start()
     try:
-        parse_config(text)
+        fn(*args)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _parse_peak(text: str) -> int:
+    return _peak(parse_config, text)
 
 
 class TestParseAllocatesNoWeights:
@@ -177,3 +194,17 @@ class TestParseAllocatesNoWeights:
         lines.append(f"block s type=sppf in={8 << 14} out=8 from=c14")
         graph, _ = parse_config("\n".join(lines))
         assert graph.nodes[-1].attrs["in"] == 131072
+
+
+class TestFusedBuildAllocatesNoWeights:
+    """A fused build from config states structure only: it folds nothing."""
+
+    def test_preset_x_model_and_cost(self):
+        graph, _ = parse_config("fused=1\n" + preset_text("X"))
+        assert _peak(Model, graph) < 1 << 20
+        assert _peak(graph_cost, graph, (3, 640, 640)) < 1 << 20
+
+    def test_fused_structure_holds_only_read_only_arrays(self):
+        fused = B.MerudandaX(64, 64, 2).fuse()
+        for name, arr, _ in fused.named_arrays("m"):
+            assert not arr.flags.writeable, name

@@ -25,7 +25,7 @@ from .tensor import (
     upsample_nearest,
 )
 from . import blocks, cost, oracle, reparam
-from .cost import adown_cost, block_cost, conv_cost, graph_cost
+from .cost import adown_cost, conv_cost, graph_cost
 from .graph import ConfigError, Model, ModelGraph, ScaleConfig, forward_graph, parse_config, serialize_config
 from .presets import REFERENCE_TOTALS, SCALES, load_preset, preset_text
 from .reparam import fuse_block, fuse_conv_bn, fuse_repvgg, embed_kernel, reparam_graph, verify_equivalence

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .cost import RATIO_LINE, graph_cost
-from .graph import ConfigError, Model, ModelGraph, parse_config, propagate_shapes
+from .graph import ConfigError, Model, parse_config, propagate_shapes
 from .presets import REFERENCE_TOTALS
 from .reparam import reparam_graph, verify_equivalence
 from .tensor import DTYPE, ShapeError
@@ -115,13 +115,13 @@ def cmd_reparam_check(args) -> int:
 
 
 def _worst_node(base: Model, fused: Model, shape, seed) -> str:
-    """Per-node max diff on one random input, for the failure diagnostic."""
+    """Per-node max diff on one random input, for the failure diagnostic; the
+    two models run in lockstep, so only the current node's outputs are held."""
     x = np.random.default_rng(seed).standard_normal(shape).astype(DTYPE)
-    outs_a = base.forward(x)
-    outs_b = fused.forward(x)
     worst, worst_d = "?", -1.0
-    for node in base.graph.nodes:
-        d = float(np.abs(outs_a[node.id] - outs_b[node.id]).max())
+    for (node, a), (_, b) in zip(base.walk(x), fused.walk(x), strict=True):
+        d = float(np.abs(a - b).max())
+        del a, b
         if d > worst_d:
             worst, worst_d = node.id, d
     return f"{worst} (max abs diff {worst_d:.3e})"
@@ -218,10 +218,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ShapeError, WeightFormatError, KeyError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as e:
+    except (ConfigError, ShapeError, WeightFormatError, KeyError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -16,17 +16,19 @@ Conventions (all counts are exact integers, per single input sample):
 walk over a composite's declared children (``blocks.Composite.CHILDREN``).
 What a composite computes itself, outside its children (residual adds, the
 squeeze-excite pool and gate, SPPF and ADown pooling, attention matmuls and
-softmax), lives in the ``_OWN_WORK`` table.
+softmax), lives in the ``_OWN_WORK`` table. ADown alone changes spatial
+dims, and ``block_tally`` rejects its odd input as the runtime does.
+``graph_cost`` reads per-node tallies off ``graph.static_walk``.
 
 The model is purely static: nothing here executes a forward pass.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import blocks as B
-from .tensor import ConvSpec, conv_out_hw
+from .tensor import ConvSpec, ShapeError, conv_out_hw
 
 RATIO_LINE = "adown vs standard 3x3 stride-2 conv: 5/18 (27.8% rounded; paper: 27.7%)"
 
@@ -125,7 +127,11 @@ def block_tally(block, h: int, w: int) -> tuple[Tally, int, int]:
     # except SE's gate convs, which act on the pooled 1x1 vector, and ADown's
     # branches: cv1 reads the (h-1)x(w-1) average pool, cv2 the 3x3 stride-2
     # max pool of that. ADown is the only composite that changes spatial dims.
-    out_hw = conv_out_hw(h - 1, w - 1, 3, 2, 1) if isinstance(block, B.ADown) else (h, w)
+    out_hw = (h, w)
+    if isinstance(block, B.ADown):
+        if h % 2 or w % 2:
+            raise ShapeError(f"adown needs even spatial dims, got {h}x{w}")
+        out_hw = conv_out_hw(h - 1, w - 1, 3, 2, 1)
     for seg, child in block.children():
         in_hw = (1, 1) if isinstance(block, B.SqueezeExcite) else (h, w)
         if isinstance(block, B.ADown):
@@ -166,20 +172,7 @@ class CostReport:
         }
 
     def to_json_obj(self) -> dict:
-        return {
-            "nodes": [
-                {
-                    "name": n.name,
-                    "kind": n.kind,
-                    "macs": n.macs,
-                    "params": n.params,
-                    "conv3x3": n.conv3x3,
-                    "other_ops": n.other_ops,
-                }
-                for n in self.nodes
-            ],
-            "totals": self.totals,
-        }
+        return {"nodes": [asdict(n) for n in self.nodes], "totals": self.totals}
 
     def to_text(self) -> str:
         headers = ("node", "kind", "macs", "params", "3x3", "other_ops")
@@ -238,25 +231,13 @@ COST_REPORT_SCHEMA = {
 }
 
 
-def block_cost(node, input_shape: tuple, fused: bool = False) -> NodeCost:
-    """CostReport entry for one graph node at (c, h, w)."""
-    from .graph import build_block
-
-    _, h, w = input_shape
-    blk = build_block(node, fused)
-    if blk is None:  # upsample, concat: no parameters, no MACs
-        return NodeCost(node.id, node.kind, 0, 0, 0, 0)
-    tally, _, _ = block_tally(blk, h, w)
-    return NodeCost(node.id, node.kind, tally.macs, tally.params, tally.conv3x3, tally.other)
-
-
 def graph_cost(graph, input_shape: tuple) -> CostReport:
-    """Per-node cost report for a whole graph at input (c, h, w)."""
-    from .graph import propagate_shapes
+    """Per-node cost report for a whole graph at input (c, h, w), read off
+    ``graph.static_walk``; upsample and concat cost nothing."""
+    from .graph import static_walk
 
-    shapes = propagate_shapes(graph, *input_shape)
-    return CostReport([block_cost(node, shapes[node.inputs[0]], graph.fused)
-                       for node in graph.nodes])
+    return CostReport([NodeCost(node.id, node.kind, t.macs, t.params, t.conv3x3, t.other)
+                       for node, _, t in static_walk(graph, *input_shape)])
 
 
 @dataclass

@@ -18,6 +18,11 @@ a key may appear once per line and each header once per config.
 source. Every referenced id must be defined on an earlier line, which keeps
 the graph a DAG by construction and lets channel counts be checked in one
 forward pass.
+
+``static_walk`` is the one static pass over a graph at a concrete input: it
+builds each block once and yields its output (c, h, w) and cost ``Tally``,
+the dims read off the block's structure by ``cost.block_tally``.
+``propagate_shapes`` and ``cost.graph_cost`` are views of it.
 """
 from __future__ import annotations
 
@@ -27,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import blocks as B
-from .tensor import ShapeError, check_tensor4, concat_channels, conv_out_hw, upsample_nearest
+from .cost import Tally, block_tally
+from .tensor import ShapeError, check_tensor4, concat_channels, upsample_nearest
 
 _IO = {"in": "c_in", "out": "c_out"}
 # kind -> (block class, or None for the parameter-free kinds;
@@ -326,40 +332,36 @@ def build_block(node: BlockNode, fused: bool = False):
     return blk.fuse() if fused else blk
 
 
-def propagate_shapes(graph: ModelGraph, c: int, h: int, w: int) -> dict:
-    """Static (c, h, w) propagation through every node; raises ShapeError with
-    the offending node id. Matches runtime shapes by contract."""
+def static_walk(graph: ModelGraph, c: int, h: int, w: int):
+    """Yield (node, output (c, h, w), Tally) per node in order; a ShapeError
+    names the offending node."""
     graph.check_input_channels(c)
     shapes = {"input": (c, h, w)}
     for node in graph.nodes:
         srcs = [shapes[s] for s in node.inputs]
+        tally = Tally()
         try:
-            shapes[node.id] = _node_out_shape(node, srcs)
+            if node.kind == "concat":
+                hw = {s[1:] for s in srcs}
+                if len(hw) != 1:
+                    raise ShapeError(f"concat inputs disagree on spatial dims: {sorted(hw)}")
+                out = (sum(s[0] for s in srcs), *srcs[0][1:])
+            elif node.kind == "upsample":
+                (sc, sh, sw), = srcs
+                out = (sc, 2 * sh, 2 * sw)
+            else:
+                tally, ho, wo = block_tally(build_block(node, graph.fused), *srcs[0][1:])
+                out = (node.attrs["out"], ho, wo)
         except (ValueError, ShapeError) as e:
             raise ShapeError(f"node '{node.id}': {e}") from None
-    return shapes
+        shapes[node.id] = out
+        yield node, out, tally
 
 
-def _node_out_shape(node: BlockNode, srcs: list) -> tuple:
-    a = node.attr
-    if node.kind == "concat":
-        hw = {(s[1], s[2]) for s in srcs}
-        if len(hw) != 1:
-            raise ShapeError(f"concat inputs disagree on spatial dims: {sorted(hw)}")
-        return (sum(s[0] for s in srcs), srcs[0][1], srcs[0][2])
-    (c, h, w), = srcs
-    if node.kind == "upsample":
-        return (c, 2 * h, 2 * w)
-    if node.kind == "conv_bn_act":
-        k, s = a("k"), a("s")
-        ho, wo = conv_out_hw(h, w, k, s, k // 2)
-        return (a("out"), ho, wo)
-    if node.kind == "adown":
-        if h % 2 or w % 2:
-            raise ShapeError(f"adown needs even spatial dims, got {h}x{w}")
-        return (a("out"), h // 2, w // 2)
-    # sppf, attention_bhag6, merudanda_x, merudanda_bhag15 preserve h, w
-    return (a("out"), h, w)
+def propagate_shapes(graph: ModelGraph, c: int, h: int, w: int) -> dict:
+    """Static (c, h, w) of the input and every node, read off ``static_walk``;
+    matches runtime shapes by contract."""
+    return {"input": (c, h, w), **{node.id: out for node, out, _ in static_walk(graph, c, h, w)}}
 
 
 class Model:
@@ -397,7 +399,7 @@ class Model:
                            f"e.g. {sorted(extra)[0]!r}")
         return self
 
-    def _walk(self, x: np.ndarray):
+    def walk(self, x: np.ndarray):
         """Run the graph in node order, yielding (node, output) per node.
 
         The walk itself holds an output only until its last consumer has
@@ -430,7 +432,7 @@ class Model:
         """Run the graph; returns node id -> output for every node, all of
         them held until the pass ends (see stage_outputs for the lean run)."""
         outs = {"input": x}
-        for node, y in self._walk(x):
+        for node, y in self.walk(x):
             outs[node.id] = y
         return outs
 
@@ -441,7 +443,7 @@ class Model:
         inputs, so only those still needed and the tagged ones are alive."""
         final = self.graph.nodes[-1]
         tagged, last = {}, {}
-        for node, y in self._walk(x):
+        for node, y in self.walk(x):
             if node.stage is not None:
                 tagged[node.stage] = y
             if node is final:

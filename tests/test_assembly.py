@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from conftest import rand_input
 from test_config_text import valid_config
 from vajrakit import graph as graph_module
+from vajrakit.cost import graph_cost
 from vajrakit.graph import (
     ConfigError,
     Model,
@@ -365,9 +366,12 @@ def test_static_shapes_match_runtime_on_random_graphs(text):
             assume(False)
         c = graph.input_channels or 3
         static, static_node = _outcome(lambda: propagate_shapes(graph, c, 16, 16))
+        report, cost_node = _outcome(lambda: graph_cost(graph, (c, 16, 16)))
         outs, runtime_node = _outcome(
             lambda: Model(graph).forward(np.zeros((1, c, 16, 16), DTYPE)))
-        assert static_node == runtime_node
+        assert static_node == cost_node == runtime_node
+        if report is not None:
+            assert [n.name for n in report.nodes] == [n.id for n in graph.nodes]
         if static is not None:
             for node in graph.nodes:
                 assert outs[node.id].shape == (1, *static[node.id]), node.id

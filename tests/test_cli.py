@@ -135,6 +135,19 @@ class TestReparamCheck:
         assert code == 0
         assert "max abs diff: 0.000e+00" in out
 
+    def test_offender_found_without_holding_full_passes(self, preset_n):
+        # the diagnostic walks both models in lockstep; forward() is never needed
+        stub = ("import sys\n"
+                "from vajrakit import cli\n"
+                "def no_forward(self, x):\n"
+                "    raise AssertionError('forward() holds every output')\n"
+                "cli.Model.forward = no_forward\n"
+                "sys.exit(cli.main(sys.argv[1:]))\n")
+        proc = subprocess.run([sys.executable, "-c", stub, "reparam-check", "--config", preset_n,
+                               "--shape", "1x3x64x64", "--tol", "0"],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 1, proc.stderr
+        assert "worst offending node: " in proc.stderr and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("flag, value", [
         ("--trials", "0"), ("--trials", "-1"), ("--trials", "two"),
@@ -195,6 +208,20 @@ class TestForward:
         run_cli("forward", "--config", preset_n, "--weights", str(wfile),
                 "--shape", "1x3x64x64", "--seed", "2", "--out", str(o2))
         assert o1.read_bytes() == o2.read_bytes()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("describe", "--config"), ("cost", "--out"), ("reparam-check", "--out"),
+])
+def test_directory_path_is_an_error_line(preset_n, tmp_path, command, flag):
+    args = [command, "--config", preset_n, "--shape", "1x3x32x32"]
+    if flag == "--config":
+        args[2] = str(tmp_path)
+    else:
+        args += [flag, str(tmp_path)]
+    code, _, err = run_cli(*args)
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestSelftestAndUsage:

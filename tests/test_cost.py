@@ -11,13 +11,12 @@ from vajrakit.cost import (
     COST_REPORT_SCHEMA,
     CostReport,
     adown_cost,
-    block_cost,
     block_tally,
     conv_cost,
     graph_cost,
 )
 from vajrakit.graph import parse_config
-from vajrakit.tensor import DTYPE, ConvSpec, conv2d
+from vajrakit.tensor import DTYPE, ConvSpec, ShapeError, conv2d
 from vajrakit.weights import init_weights
 
 
@@ -191,6 +190,11 @@ class TestBlockCounterEquality:
         blk.cv1 = B.ConvBNAct(8, 8, 3, 2)  # a stride-2 child inside a dims-keeping chain
         with pytest.raises(ValueError, match=r"DWChain\.cv1 changes spatial dims"):
             block_tally(blk, 8, 8)
+
+    def test_odd_adown_input_is_rejected(self):
+        # runtime and the static walk reject it alike; the tally must not price it
+        with pytest.raises(ShapeError, match="adown needs even spatial dims, got 33x32"):
+            block_tally(B.ADown(8, 8), 33, 32)
 
     def test_batch_scaling_is_linear(self, rng):
         blk = randomize(B.ConvBNAct(4, 4, 3), rng)

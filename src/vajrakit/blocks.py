@@ -5,7 +5,8 @@ plain numpy arrays. Construction allocates no kernel: conv weights and
 biases start as read-only zero views and batchnorm at identity statistics,
 so an unbound block still runs and a residual block is the identity map.
 Real values come from a WeightStore, which owns every array; binding points
-a block at them. Forward never mutates a block.
+a block at them. Forward never mutates a block. Fixed architecture constants:
+BN eps from ``BNParams``, ``k // 2`` padding, DW expansion 2, SE reduction 4.
 
 Each block states its structure once. A leaf (``ConvBNAct``, ``ConvAct``,
 ``RepVGGBlock``) lists its array attributes in ``ARRAYS``, in weight-name
@@ -49,7 +50,6 @@ from .tensor import (
     split_channels,
 )
 
-BN_EPS_DEFAULT = 1e-3
 _BN_FIELDS = (("gamma", False), ("beta", False), ("mean", True), ("var", True))
 
 
@@ -101,13 +101,10 @@ class ConvBNAct(Block):
 
     ARRAYS = ("w", "bn")
 
-    def __init__(self, c_in, c_out, k=1, stride=1, groups=1, act="silu",
-                 padding=None, eps=BN_EPS_DEFAULT):
-        if padding is None:
-            padding = k // 2
-        self.spec = ConvSpec(c_in, c_out, k, stride, padding, groups, has_bias=False)
+    def __init__(self, c_in, c_out, k=1, stride=1, groups=1, act="silu"):
+        self.spec = ConvSpec(c_in, c_out, k, stride, k // 2, groups, has_bias=False)
         self.w = _unbound(self.spec.weight_shape)
-        self.bn = BNParams.identity(c_out, eps)
+        self.bn = BNParams.identity(c_out)
         self.act = act
 
     @property
@@ -119,7 +116,7 @@ class ConvBNAct(Block):
 
     def fuse(self) -> "ConvAct":
         s = self.spec
-        return ConvAct(s.c_in, s.c_out, s.k, s.stride, s.groups, self.act, s.padding)
+        return ConvAct(s.c_in, s.c_out, s.k, s.stride, s.groups, self.act)
 
 
 class ConvAct(Block):
@@ -127,10 +124,8 @@ class ConvAct(Block):
 
     ARRAYS = ("w", "b")
 
-    def __init__(self, c_in, c_out, k=1, stride=1, groups=1, act="silu", padding=None):
-        if padding is None:
-            padding = k // 2
-        self.spec = ConvSpec(c_in, c_out, k, stride, padding, groups, has_bias=True)
+    def __init__(self, c_in, c_out, k=1, stride=1, groups=1, act="silu"):
+        self.spec = ConvSpec(c_in, c_out, k, stride, k // 2, groups, has_bias=True)
         self.w = _unbound(self.spec.weight_shape)
         self.b = _unbound(c_out)
         self.act = act
@@ -147,7 +142,7 @@ class ConvAct(Block):
 
 
 class RepVGGBlock(Block):
-    """Two-branch train-form block: 3x3+BN plus 1x1+BN, summed, then act.
+    """Two-branch train-form block: 3x3+BN plus 1x1+BN, summed, then SiLU.
 
     The optional identity+BN branch is only legal for stride 1 with equal
     channel counts. The whole block collapses to a single 3x3 conv, whose
@@ -156,7 +151,7 @@ class RepVGGBlock(Block):
 
     ARRAYS = ("w3", "bn3", "w1", "bn1", "bnid")
 
-    def __init__(self, c_in, c_out, stride=1, identity=False, act="silu", eps=BN_EPS_DEFAULT):
+    def __init__(self, c_in, c_out, stride=1, identity=False):
         if identity and (c_in != c_out or stride != 1):
             raise ValueError(
                 f"identity branch needs c_in == c_out and stride 1, got {c_in}->{c_out} s{stride}"
@@ -165,10 +160,9 @@ class RepVGGBlock(Block):
         self.spec1 = ConvSpec(c_in, c_out, 1, stride, padding=0)
         self.w3 = _unbound(self.spec3.weight_shape)
         self.w1 = _unbound(self.spec1.weight_shape)
-        self.bn3 = BNParams.identity(c_out, eps)
-        self.bn1 = BNParams.identity(c_out, eps)
-        self.bnid = BNParams.identity(c_out, eps) if identity else None
-        self.act = act
+        self.bn3 = BNParams.identity(c_out)
+        self.bn1 = BNParams.identity(c_out)
+        self.bnid = BNParams.identity(c_out) if identity else None
 
     @property
     def c_in(self):
@@ -181,10 +175,10 @@ class RepVGGBlock(Block):
         )
         if self.bnid is not None:
             y = add(y, batchnorm_infer(x, self.bnid))
-        return activation(y, self.act)
+        return activation(y, "silu")
 
     def fuse(self) -> ConvAct:
-        return ConvAct(self.spec3.c_in, self.spec3.c_out, 3, self.spec3.stride, act=self.act)
+        return ConvAct(self.spec3.c_in, self.spec3.c_out, 3, self.spec3.stride)
 
 
 class Composite(Block):
@@ -212,11 +206,11 @@ class RepCSP(Composite):
 
     CHILDREN = (("cv1", "cv1"), ("blocks", "rep"), ("cv2", "cv2"), ("cv3", "cv3"))
 
-    def __init__(self, c_in, c_out, n=1, identity=False, eps=BN_EPS_DEFAULT):
-        self.cv1 = ConvBNAct(c_in, c_out, 1, eps=eps)
-        self.cv2 = ConvBNAct(c_in, c_out, 1, eps=eps)
-        self.blocks = [RepVGGBlock(c_out, c_out, 1, identity, eps=eps) for _ in range(n)]
-        self.cv3 = ConvBNAct(c_out, c_out, 1, eps=eps)
+    def __init__(self, c_in, c_out, n=1, identity=False):
+        self.cv1 = ConvBNAct(c_in, c_out, 1)
+        self.cv2 = ConvBNAct(c_in, c_out, 1)
+        self.blocks = [RepVGGBlock(c_out, c_out, 1, identity) for _ in range(n)]
+        self.cv3 = ConvBNAct(c_out, c_out, 1)
 
     def forward(self, x):
         y = self.cv1.forward(x)
@@ -233,19 +227,18 @@ class MerudandaX(Composite):
     CHILDREN = (("stem", "stem"), ("csp1", "csp1"), ("conv1", "conv1"), ("csp2", "csp2"),
                 ("conv2", "conv2"), ("final", "final"))
 
-    def __init__(self, c_in, c_out, n=1, stem_width=None, mid_width=None,
-                 identity=False, eps=BN_EPS_DEFAULT):
+    def __init__(self, c_in, c_out, n=1, stem_width=None, mid_width=None, identity=False):
         stem_width = stem_width if stem_width is not None else c_out
         mid_width = mid_width if mid_width is not None else c_out // 2
         if stem_width % 2:
             raise ValueError(f"stem width {stem_width} must split evenly in two")
         half = stem_width // 2
-        self.stem = ConvBNAct(c_in, stem_width, 1, eps=eps)
-        self.csp1 = RepCSP(half, mid_width, n, identity, eps=eps)
-        self.conv1 = ConvBNAct(mid_width, mid_width, 3, eps=eps)
-        self.csp2 = RepCSP(mid_width, mid_width, n, identity, eps=eps)
-        self.conv2 = ConvBNAct(mid_width, mid_width, 3, eps=eps)
-        self.final = ConvBNAct(stem_width + 2 * mid_width, c_out, 1, eps=eps)
+        self.stem = ConvBNAct(c_in, stem_width, 1)
+        self.csp1 = RepCSP(half, mid_width, n, identity)
+        self.conv1 = ConvBNAct(mid_width, mid_width, 3)
+        self.csp2 = RepCSP(mid_width, mid_width, n, identity)
+        self.conv2 = ConvBNAct(mid_width, mid_width, 3)
+        self.final = ConvBNAct(stem_width + 2 * mid_width, c_out, 1)
 
     def forward(self, x):
         a, b = split_channels(self.stem.forward(x), 2)
@@ -255,20 +248,20 @@ class MerudandaX(Composite):
 
 
 class DWChain(Composite):
-    """Inverted-bottleneck conv chain: DW 3x3, PW expand, DW k x k, PW project,
-    DW 3x3. The mid depthwise kernel is 3 or 7."""
+    """Inverted-bottleneck conv chain: DW 3x3, PW expand 2x, DW k x k, PW
+    project, DW 3x3. The mid depthwise kernel is 3 or 7."""
 
     CHILDREN = (("cv1", "cv1"), ("cv2", "cv2"), ("cv3", "cv3"), ("cv4", "cv4"), ("cv5", "cv5"))
 
-    def __init__(self, c, dw_kernel=3, expand=2, eps=BN_EPS_DEFAULT):
+    def __init__(self, c, dw_kernel=3):
         if dw_kernel not in (3, 7):
             raise ValueError(f"dw_kernel must be 3 or 7, got {dw_kernel}")
-        ce = expand * c
-        self.cv1 = ConvBNAct(c, c, 3, groups=c, eps=eps)
-        self.cv2 = ConvBNAct(c, ce, 1, eps=eps)
-        self.cv3 = ConvBNAct(ce, ce, dw_kernel, groups=ce, eps=eps)
-        self.cv4 = ConvBNAct(ce, c, 1, eps=eps)
-        self.cv5 = ConvBNAct(c, c, 3, groups=c, eps=eps)
+        ce = 2 * c
+        self.cv1 = ConvBNAct(c, c, 3, groups=c)
+        self.cv2 = ConvBNAct(c, ce, 1)
+        self.cv3 = ConvBNAct(ce, ce, dw_kernel, groups=ce)
+        self.cv4 = ConvBNAct(ce, c, 1)
+        self.cv5 = ConvBNAct(c, c, 3, groups=c)
 
     def forward(self, x):
         for cv in (self.cv1, self.cv2, self.cv3, self.cv4, self.cv5):
@@ -281,23 +274,23 @@ class MerudandaDW(Composite):
 
     CHILDREN = (("chain", ""),)
 
-    def __init__(self, c, dw_kernel=3, expand=2, eps=BN_EPS_DEFAULT):
-        self.chain = DWChain(c, dw_kernel, expand, eps)
+    def __init__(self, c, dw_kernel=3):
+        self.chain = DWChain(c, dw_kernel)
 
     def forward(self, x):
         return add(x, self.chain.forward(x))
 
 
 class SqueezeExcite(Composite):
-    """Channel gating: x * sigmoid(W2 . act(W1 . GAP(x)))."""
+    """Channel gating: x * sigmoid(W2 . act(W1 . GAP(x))), hidden width c // 4."""
 
     CHILDREN = (("fc1", "fc1"), ("fc2", "fc2"))
 
-    def __init__(self, c, reduce_ratio=4):
-        if c % reduce_ratio:
-            raise ValueError(f"reduce ratio {reduce_ratio} must divide {c} channels")
-        self.fc1 = ConvAct(c, c // reduce_ratio, 1, act="silu")
-        self.fc2 = ConvAct(c // reduce_ratio, c, 1, act="sigmoid")
+    def __init__(self, c):
+        if c % 4:
+            raise ValueError(f"reduce ratio 4 must divide {c} channels")
+        self.fc1 = ConvAct(c, c // 4, 1, act="silu")
+        self.fc2 = ConvAct(c // 4, c, 1, act="sigmoid")
 
     def forward(self, x):
         gate = self.fc2.forward(self.fc1.forward(global_avg_pool(x)))
@@ -310,26 +303,19 @@ class RepViTBlock(Composite):
 
     CHILDREN = (("chain", "mixer"), ("se", "se"), ("mlp1", "mlp1"), ("mlp2", "mlp2"))
 
-    def __init__(self, c, dw_kernel=3, expand=2, se_ratio=4, eps=BN_EPS_DEFAULT):
-        self.chain = DWChain(c, dw_kernel, expand, eps)
-        self.se = SqueezeExcite(c, se_ratio)
-        self.mlp1 = ConvBNAct(c, 2 * c, 1, eps=eps)
-        self.mlp2 = ConvBNAct(2 * c, c, 1, act="identity", eps=eps)
+    def __init__(self, c, dw_kernel=3):
+        self.chain = DWChain(c, dw_kernel)
+        self.se = SqueezeExcite(c)
+        self.mlp1 = ConvBNAct(c, 2 * c, 1)
+        self.mlp2 = ConvBNAct(2 * c, c, 1, act="identity")
 
     def forward(self, x):
         x1 = add(x, self.se.forward(self.chain.forward(x)))
         return add(x1, self.mlp2.forward(self.mlp1.forward(x1)))
 
 
-INNER_KINDS = ("merudanda_dw", "repvit")
-
-
-def make_inner(kind: str, c: int, dw_kernel: int, eps=BN_EPS_DEFAULT):
-    if kind == "merudanda_dw":
-        return MerudandaDW(c, dw_kernel, eps=eps)
-    if kind == "repvit":
-        return RepViTBlock(c, dw_kernel, eps=eps)
-    raise ValueError(f"unknown inner kind {kind!r}")
+_INNER = {"merudanda_dw": MerudandaDW, "repvit": RepViTBlock}
+INNER_KINDS = tuple(_INNER)  # a sequence, not a set: hypothesis samples from it
 
 
 class MerudandaBhag15(Composite):
@@ -339,12 +325,13 @@ class MerudandaBhag15(Composite):
 
     CHILDREN = (("stem", "stem"), ("inner", "inner"), ("final", "final"))
 
-    def __init__(self, c_in, c_out, n=1, inner_kind="merudanda_dw", dw_kernel=3,
-                 hidden=None, eps=BN_EPS_DEFAULT):
+    def __init__(self, c_in, c_out, n=1, inner_kind="merudanda_dw", dw_kernel=3, hidden=None):
+        if inner_kind not in _INNER:
+            raise ValueError(f"unknown inner kind {inner_kind!r}")
         h = hidden if hidden is not None else c_out // 2
-        self.stem = ConvBNAct(c_in, 2 * h, 1, eps=eps)
-        self.inner = [make_inner(inner_kind, h, dw_kernel, eps) for _ in range(n)]
-        self.final = ConvBNAct((2 + n) * h, c_out, 1, eps=eps)
+        self.stem = ConvBNAct(c_in, 2 * h, 1)
+        self.inner = [_INNER[inner_kind](h, dw_kernel) for _ in range(n)]
+        self.final = ConvBNAct((2 + n) * h, c_out, 1)
 
     def forward(self, x):
         parts = list(split_channels(self.stem.forward(x), 2))
@@ -358,13 +345,13 @@ class SPPF(Composite):
 
     CHILDREN = (("cv1", "cv1"), ("cv2", "cv2"))
 
-    def __init__(self, c_in, c_out, k=5, eps=BN_EPS_DEFAULT):
+    def __init__(self, c_in, c_out, k=5):
         if k % 2 == 0:
             raise ValueError(f"sppf pool size must be odd, got {k}")
         self.k = k
         hidden = c_in // 2
-        self.cv1 = ConvBNAct(c_in, hidden, 1, eps=eps)
-        self.cv2 = ConvBNAct(4 * hidden, c_out, 1, eps=eps)
+        self.cv1 = ConvBNAct(c_in, hidden, 1)
+        self.cv2 = ConvBNAct(4 * hidden, c_out, 1)
 
     def forward(self, x):
         ys = [self.cv1.forward(x)]
@@ -380,15 +367,15 @@ class AttentionV2(Composite):
 
     CHILDREN = (("qk", "qk"), ("v", "v"), ("pe", "pe"), ("proj", "proj"))
 
-    def __init__(self, c, heads, eps=BN_EPS_DEFAULT):
+    def __init__(self, c, heads):
         if c % heads:
             raise ValueError(f"heads={heads} must divide {c} channels")
         self.heads = heads
         self.d_head = c // heads
-        self.qk = ConvBNAct(c, 2 * c, 1, act="identity", eps=eps)
-        self.v = ConvBNAct(c, c, 1, act="identity", eps=eps)
-        self.pe = ConvBNAct(c, c, 3, groups=c, act="identity", eps=eps)
-        self.proj = ConvBNAct(c, c, 1, act="identity", eps=eps)
+        self.qk = ConvBNAct(c, 2 * c, 1, act="identity")
+        self.v = ConvBNAct(c, c, 1, act="identity")
+        self.pe = ConvBNAct(c, c, 3, groups=c, act="identity")
+        self.proj = ConvBNAct(c, c, 1, act="identity")
 
     def forward(self, x, return_attn=False):
         n, c, h, w = x.shape
@@ -416,10 +403,10 @@ class AttentionBlockV2(Composite):
 
     CHILDREN = (("attn", "attn"), ("ffn1", "ffn1"), ("ffn2", "ffn2"))
 
-    def __init__(self, c, heads, eps=BN_EPS_DEFAULT):
-        self.attn = AttentionV2(c, heads, eps)
-        self.ffn1 = ConvBNAct(c, 2 * c, 1, eps=eps)
-        self.ffn2 = ConvBNAct(2 * c, c, 1, act="identity", eps=eps)
+    def __init__(self, c, heads):
+        self.attn = AttentionV2(c, heads)
+        self.ffn1 = ConvBNAct(c, 2 * c, 1)
+        self.ffn2 = ConvBNAct(2 * c, c, 1, act="identity")
 
     def forward(self, x):
         x1 = add(x, self.attn.forward(x))
@@ -433,17 +420,17 @@ class AttentionBhag6(Composite):
 
     CHILDREN = (("sppf", "sppf"), ("cv1", "cv1"), ("blocks", "block"), ("cv2", "cv2"))
 
-    def __init__(self, c_in, c_out, n_blocks=1, heads=None, sppf_k=5, eps=BN_EPS_DEFAULT):
+    def __init__(self, c_in, c_out, n_blocks=1, heads=None, sppf_k=5):
         if c_in % 2:
             raise ValueError(f"attention aggregation needs an even width, got {c_in}")
         half = c_in // 2
         if heads is None:
             heads = max(1, half // 64)
         self.heads = heads
-        self.sppf = SPPF(c_in, c_in, sppf_k, eps=eps)
-        self.cv1 = ConvBNAct(c_in, 2 * half, 1, eps=eps)
-        self.blocks = [AttentionBlockV2(half, heads, eps) for _ in range(n_blocks)]
-        self.cv2 = ConvBNAct(2 * half, c_out, 1, eps=eps)
+        self.sppf = SPPF(c_in, c_in, sppf_k)
+        self.cv1 = ConvBNAct(c_in, 2 * half, 1)
+        self.blocks = [AttentionBlockV2(half, heads) for _ in range(n_blocks)]
+        self.cv2 = ConvBNAct(2 * half, c_out, 1)
 
     def forward(self, x):
         y = self.cv1.forward(self.sppf.forward(x))
@@ -460,11 +447,11 @@ class ADown(Composite):
 
     CHILDREN = (("cv1", "cv1"), ("cv2", "cv2"))
 
-    def __init__(self, c_in, c_out, eps=BN_EPS_DEFAULT):
+    def __init__(self, c_in, c_out):
         if c_in % 2 or c_out % 2:
             raise ValueError(f"adown needs even channel counts, got {c_in}->{c_out}")
-        self.cv1 = ConvBNAct(c_in // 2, c_out // 2, 3, stride=2, eps=eps)
-        self.cv2 = ConvBNAct(c_in // 2, c_out // 2, 1, eps=eps)
+        self.cv1 = ConvBNAct(c_in // 2, c_out // 2, 3, stride=2)
+        self.cv2 = ConvBNAct(c_in // 2, c_out // 2, 1)
 
     @property
     def c_in(self):

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -216,7 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = getattr(args, "out", None)
     try:
+        if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+            open(out, "w").close()  # raises its OSError now, before any work, creating nothing
         return args.fn(args)
     except (ConfigError, ShapeError, WeightFormatError, KeyError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -258,15 +258,9 @@ class ADownCost:
 
 
 def adown_cost(c_in: int, c_out: int, h: int, w: int) -> ADownCost:
-    if c_in % 2 or c_out % 2 or h % 2 or w % 2:
-        raise ValueError(f"adown cost needs even C, C_out, H, W; got {c_in},{c_out},{h}x{w}")
-    half_in, half_out = c_in // 2, c_out // 2
-    ho, wo = h // 2, w // 2
-    conv3_macs = ho * wo * 9 * half_in * half_out
-    conv1_macs = ho * wo * half_in * half_out
-    macs = conv3_macs + conv1_macs
-    params = 9 * half_in * half_out + half_in * half_out
-    std_macs = ho * wo * 9 * c_in * c_out
-    std_params = 9 * c_in * c_out
-    pool_ops = 4 * c_in * (h - 1) * (w - 1) + 9 * half_in * ho * wo
+    block = B.ADown(c_in, c_out)
+    macs = block_tally(block, h, w)[0].macs
+    params = sum(conv_cost(cv.spec, h, w)[1] for cv in (block.cv1, block.cv2))
+    std_macs, std_params = conv_cost(ConvSpec(c_in, c_out, 3, 2, 1), h, w)
+    pool_ops = _adown_work(block, c_in, h, w)[1]
     return ADownCost(macs, params, Fraction(macs, std_macs), std_macs, std_params, pool_ops)

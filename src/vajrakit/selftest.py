@@ -28,7 +28,6 @@ def _rand_bn(rng, c) -> BNParams:
         rng.normal(0, 0.2, c).astype(DTYPE),
         rng.normal(0, 0.5, c).astype(DTYPE),
         rng.uniform(0.25, 2.0, c).astype(DTYPE),
-        1e-3,
     )
 
 

@@ -117,8 +117,9 @@ class BNParams:
         # enforced wherever the denominator is actually formed.
 
     @classmethod
-    def identity(cls, c: int, eps: float = 1e-3) -> "BNParams":
-        return cls(np.ones(c, DTYPE), np.zeros(c, DTYPE), np.zeros(c, DTYPE), np.ones(c, DTYPE), eps)
+    def identity(cls, c: int, eps: float | None = None) -> "BNParams":
+        return cls(np.ones(c, DTYPE), np.zeros(c, DTYPE), np.zeros(c, DTYPE), np.ones(c, DTYPE),
+                   cls.eps if eps is None else eps)
 
     @property
     def channels(self) -> int:
@@ -399,7 +400,7 @@ def global_avg_pool(x: np.ndarray) -> np.ndarray:
     return x.mean(axis=(2, 3), keepdims=True, dtype=DTYPE)
 
 
-def upsample_nearest(x: np.ndarray, factor: int = 2) -> np.ndarray:
-    """Nearest-neighbour spatial upsampling."""
+def upsample_nearest(x: np.ndarray) -> np.ndarray:
+    """Nearest-neighbour 2x spatial upsampling."""
     check_tensor4(x, "upsample input")
-    return np.ascontiguousarray(x.repeat(factor, axis=2).repeat(factor, axis=3))
+    return np.ascontiguousarray(x.repeat(2, axis=2).repeat(2, axis=3))

@@ -19,7 +19,7 @@ from vajrakit.tensor import (
 
 class TestRepVGGBlock:
     def test_constructed_identity_passes_activation_only(self, rng):
-        blk = B.RepVGGBlock(8, 8, eps=0.0)
+        blk = B.RepVGGBlock(8, 8)
         blk.bn3 = BNParams.identity(8, eps=0.0)
         blk.w3 = identity_kernel(8, 8, 3)
         x = rand_input(rng, 2, 8, 6, 6)
@@ -120,7 +120,7 @@ class TestMerudandaDW:
         B.MerudandaDW(16, 7)
 
     def test_channel_chain_widths(self):
-        blk = B.MerudandaDW(16, 7, expand=2)
+        blk = B.MerudandaDW(16, 7)
         assert blk.chain.cv2.spec.c_out == 32  # c -> 2c
         assert blk.chain.cv3.spec.groups == 32  # depthwise at 2c
         assert blk.chain.cv3.spec.k == 7
@@ -160,7 +160,7 @@ class TestSqueezeExcite:
 
     def test_ratio_must_divide(self):
         with pytest.raises(ValueError):
-            B.SqueezeExcite(6, reduce_ratio=4)
+            B.SqueezeExcite(6)
 
 
 class TestRepViTBlock:
@@ -335,7 +335,8 @@ class TestADown:
         assert blk.forward(rand_input(rng, 1, 64, 32, 32)).shape == (1, 128, 16, 16)
 
     def test_constant_input_all_ones_kernel_interior(self):
-        blk = B.ADown(2, 2, eps=0.0)
+        blk = B.ADown(2, 2)
+        blk.cv1.bn = blk.cv2.bn = BNParams.identity(1, eps=0.0)
         blk.cv1.w = np.ones(blk.cv1.spec.weight_shape, DTYPE)
         c = DTYPE(1.5)
         x = np.full((1, 2, 32, 32), c, DTYPE)

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from vajrakit import cli
 from vajrakit.cost import RATIO_LINE
 from vajrakit.presets import preset_text
 from vajrakit.tensor import DTYPE
@@ -222,6 +223,25 @@ def test_directory_path_is_an_error_line(preset_n, tmp_path, command, flag):
     code, _, err = run_cli(*args)
     assert code == 1
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["cost", "reparam-check", "forward"])
+def test_bad_out_fails_before_any_work(preset_n, tmp_path, monkeypatch, capsys, command):
+    def no_work(*_):
+        raise RuntimeError("work started before --out was checked")
+
+    monkeypatch.setattr(cli, "init_weights", no_work)
+    monkeypatch.setattr(cli, "graph_cost", no_work)
+    args = [command, "--config", preset_n, "--shape", "1x3x32x32", "--out"]
+    for out in (tmp_path, tmp_path / "missing" / "out.vjw"):
+        assert cli.main(args + [str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "missing").exists()
+    kept = tmp_path / "kept.vjw"
+    kept.write_bytes(b"old")
+    with pytest.raises(RuntimeError):  # a good path passes the check untouched
+        cli.main(args + [str(kept)])
+    assert kept.read_bytes() == b"old"
 
 
 class TestSelftestAndUsage:

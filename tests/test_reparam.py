@@ -136,6 +136,20 @@ class TestFuseRepVGG:
 
     @pytest.mark.parametrize("identity", [False, True])
     def test_equivalence_sweep(self, rng, identity):
+        # Both paths compute z = sum over branches of conv_b(x) * s_b + beta_b
+        # - mean_b * s_b, with s_b = gamma_b / sqrt(var_b + eps), then SiLU.
+        # With K = 9c, each path's z is within gamma_{K+8} * M of the exact z,
+        # M = sum_b (sum|w_b||x| |s_b| + |mean_b s_b| + |beta_b|); the identity
+        # branch's sum|w||x| is |x|. 8 counts the roundings beyond the length-K
+        # dot product:
+        #   s_b: eps to float32, var + eps, sqrt, divide (4);
+        #   unfused: x * s, + shift, two branch adds (4);
+        #   fused: w * s, two adds at the centre tap, the bias add (4).
+        # Each bias term sees at most 4 (s) + 1 (mean * s) + 1 (+ beta)
+        # + 2 (branch sums) + 1 (applied) = 9 <= K + 8 roundings.
+        # SiLU is Lipschitz with constant 1.1 (max |silu'| = 1.0998), and its
+        # own float32 evaluation (tanh within 2 ulp, the + 0.5, the product)
+        # adds at most 3u|z| per path, bounded here by gamma_4 * M.
         for _ in range(50):
             c = int(rng.choice([8, 16, 32]))
             stride = 1 if identity else int(rng.choice([1, 2]))
@@ -148,7 +162,21 @@ class TestFuseRepVGG:
                 blk.bnid = rand_bn(rng, c)
             fused = fuse_block(blk)
             x = rand_input(rng, 2, c, 16, 16)
-            assert np.abs(blk.forward(x) - fused.forward(x)).max() <= 1e-4
+            diff = np.abs(blk.forward(x) - fused.forward(x))
+            # a float32 sum of nonnegative terms is low by at most 1 - gamma_K
+            accs = [conv2d(np.abs(x), spec, np.abs(w)).astype(np.float64) / (1.0 - gamma(9 * c))
+                    for spec, w in ((blk.spec3, blk.w3), (blk.spec1, blk.w1))]
+            branches = list(zip(accs, (blk.bn3, blk.bn1)))
+            if identity:
+                branches.append((np.abs(x).astype(np.float64), blk.bnid))
+            m = 0.0
+            for acc, bn in branches:
+                s = bn.gamma.astype(np.float64) / np.sqrt(bn.var.astype(np.float64) + bn.eps)
+                fold = np.abs(bn.mean * s) + np.abs(bn.beta.astype(np.float64))
+                m = m + acc * np.abs(s)[None, :, None, None] + fold[None, :, None, None]
+            bound = 2 * (1.1 * gamma(9 * c + 8) + gamma(4)) * m
+            assert np.all(diff <= bound)
+            assert diff.max() <= 1e-4
 
     def test_fused_macs_drop_to_single_conv3(self):
         blk = B.RepVGGBlock(16, 16)

@@ -25,19 +25,19 @@ learnable parameters. ``fuse()`` returns the inference-form structure,
 unbound and computing nothing: ``ConvBNAct`` and ``RepVGGBlock`` give a
 zero-view ``ConvAct`` over their (3x3) spec, ``ConvAct`` gives itself, and a
 composite a shallow copy holding its fused children. reparam.fuse_block
-folds the arrays into it. cost.py walks the same lists.
+folds the arrays into it. Each forward calls only tensor.py's hooked ops, so
+cost.py reads shapes and costs off a forward pass over zero views.
 """
 from __future__ import annotations
 
 import copy
 import math
 
-import numpy as np
-
 from .tensor import (
     DTYPE,
     BNParams,
     ConvSpec,
+    ShapeError,
     activation,
     add,
     batchnorm_infer,
@@ -45,17 +45,14 @@ from .tensor import (
     conv2d,
     global_avg_pool,
     matmul_batched,
+    mul,
     pool2d,
     softmax_lastdim,
     split_channels,
+    zero_view,
 )
 
 _BN_FIELDS = (("gamma", False), ("beta", False), ("mean", True), ("var", True))
-
-
-def _unbound(shape) -> np.ndarray:
-    """A read-only zero view that stands in for an array until one is bound."""
-    return np.broadcast_to(DTYPE(0), shape)
 
 
 class Block:
@@ -103,7 +100,7 @@ class ConvBNAct(Block):
 
     def __init__(self, c_in, c_out, k=1, stride=1, groups=1, act="silu"):
         self.spec = ConvSpec(c_in, c_out, k, stride, k // 2, groups, has_bias=False)
-        self.w = _unbound(self.spec.weight_shape)
+        self.w = zero_view(self.spec.weight_shape)
         self.bn = BNParams.identity(c_out)
         self.act = act
 
@@ -126,8 +123,8 @@ class ConvAct(Block):
 
     def __init__(self, c_in, c_out, k=1, stride=1, groups=1, act="silu"):
         self.spec = ConvSpec(c_in, c_out, k, stride, k // 2, groups, has_bias=True)
-        self.w = _unbound(self.spec.weight_shape)
-        self.b = _unbound(c_out)
+        self.w = zero_view(self.spec.weight_shape)
+        self.b = zero_view((c_out,))
         self.act = act
 
     @property
@@ -158,8 +155,8 @@ class RepVGGBlock(Block):
             )
         self.spec3 = ConvSpec(c_in, c_out, 3, stride, padding=1)
         self.spec1 = ConvSpec(c_in, c_out, 1, stride, padding=0)
-        self.w3 = _unbound(self.spec3.weight_shape)
-        self.w1 = _unbound(self.spec1.weight_shape)
+        self.w3 = zero_view(self.spec3.weight_shape)
+        self.w1 = zero_view(self.spec1.weight_shape)
         self.bn3 = BNParams.identity(c_out)
         self.bn1 = BNParams.identity(c_out)
         self.bnid = BNParams.identity(c_out) if identity else None
@@ -294,7 +291,7 @@ class SqueezeExcite(Composite):
 
     def forward(self, x):
         gate = self.fc2.forward(self.fc1.forward(global_avg_pool(x)))
-        return x * gate
+        return mul(x, gate)
 
 
 class RepViTBlock(Composite):
@@ -386,7 +383,7 @@ class AttentionV2(Composite):
         v_map = self.v.forward(x)
         v_seq = v_map.reshape(n, self.heads, d, sites)
 
-        logits = matmul_batched(q.transpose(0, 1, 3, 2), k) * DTYPE(1.0 / math.sqrt(d))
+        logits = mul(matmul_batched(q.transpose(0, 1, 3, 2), k), DTYPE(1.0 / math.sqrt(d)))
         attn = softmax_lastdim(logits)  # (n, heads, sites, sites), row-stochastic
         out_seq = matmul_batched(v_seq, attn.transpose(0, 1, 3, 2))
 
@@ -460,7 +457,7 @@ class ADown(Composite):
     def forward(self, x):
         n, c, h, w = x.shape
         if h % 2 or w % 2:
-            raise ValueError(f"adown needs even spatial dims, got {h}x{w}")
+            raise ShapeError(f"adown needs even spatial dims, got {h}x{w}")
         y = pool2d(x, "avg", 2, 1, 0)
         a, b = split_channels(y, 2)
         a = self.cv1.forward(a)

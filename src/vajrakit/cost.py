@@ -7,20 +7,17 @@ Conventions (all counts are exact integers, per single input sample):
 - ``params`` counts learnable scalars: conv kernels, biases, and batchnorm
   gamma/beta. Running statistics are store entries but not parameters.
 - Pooling, batchnorm application, activations, residual adds, softmax and
-  gating multiplies are tracked under ``other_ops`` (per-element convention
-  noted at each site) and never enter MAC totals or ratios.
+  gating multiplies are tracked under ``other_ops`` and never enter MAC
+  totals or ratios. Each op's per-element count is stated once, at its
+  ``MetaBackend`` method.
 - ``conv3x3`` is the census of dense (groups == 1) 3x3 convolution sites.
 - FLOPs are reported as 2 * MACs; both columns are printed.
 
-``block_tally`` has three leaf rules (conv+BN, conv+bias, RepVGG) and one
-walk over a composite's declared children (``blocks.Composite.CHILDREN``).
-What a composite computes itself, outside its children (residual adds, the
-squeeze-excite pool and gate, SPPF and ADown pooling, attention matmuls and
-softmax), lives in the ``_OWN_WORK`` table. ADown alone changes spatial
-dims, and ``block_tally`` rejects its odd input as the runtime does.
-``graph_cost`` reads per-node tallies off ``graph.static_walk``.
-
-The model is purely static: nothing here executes a forward pass.
+No block structure is restated here: ``block_tally`` runs a block's own
+forward on a zero view (``tensor.zero_view``) under ``MetaBackend``, and
+``graph.static_walk``, which ``graph_cost`` reads, does the same for a graph.
+No feature map is allocated, but a view larger than numpy's maximum array
+size is still an error.
 """
 from __future__ import annotations
 
@@ -28,7 +25,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import blocks as B
-from .tensor import ConvSpec, ShapeError, conv_out_hw
+from .tensor import ConvSpec, ShapeError, conv_out_hw, override_backend, zero_view
 
 RATIO_LINE = "adown vs standard 3x3 stride-2 conv: 5/18 (27.8% rounded; paper: 27.7%)"
 
@@ -50,100 +47,86 @@ class Tally:
     conv3x3: int = 0
     other: int = 0
 
-    def __iadd__(self, o: "Tally"):
-        self.macs += o.macs
-        self.params += o.params
-        self.conv3x3 += o.conv3x3
-        self.other += o.other
-        return self
 
+class MetaBackend:
+    """Every hooked op on storage-free zero views: each returns a zero view
+    of its output shape and adds its count to ``tally``."""
 
-def _conv_leaf(spec: ConvSpec, h, w, bn: bool, act: str) -> tuple[Tally, int, int]:
-    macs, params = conv_cost(spec, h, w)
-    ho, wo = conv_out_hw(h, w, spec.k, spec.stride, spec.padding)
-    elems = spec.c_out * ho * wo
-    other = 0
-    if spec.has_bias:
-        other += elems  # bias add
-    if bn:
-        params += 2 * spec.c_out  # gamma, beta
-        other += 2 * elems  # scale + shift
-    if act != "identity":
-        other += elems
-    census = 1 if (spec.k == 3 and spec.groups == 1) else 0
-    return Tally(macs, params, census, other), ho, wo
+    def __init__(self):
+        self.tally = Tally()
 
+    def take(self, block) -> Tally:
+        """The tally since the last take, with the learnable parameters of `block` (or None)."""
+        t, self.tally = self.tally, Tally()
+        if block is not None:
+            t.params = sum(arr.size for _, arr, is_stat in block.named_arrays("") if not is_stat)
+        return t
 
-def _attention_work(block, c, h, w) -> tuple[int, int]:
-    sites = h * w
-    logits = block.heads * sites * sites
-    macs = 2 * logits * block.d_head  # QK^T and attn.V
-    # scale by 1/sqrt(d); softmax: max, sub+exp, sum, div; positional-encoding add
-    return macs, logits + 4 * logits + c * sites
+    def conv2d(self, x, spec, weights, bias=None):
+        n, _, h, w = x.shape
+        y = zero_view((n, spec.c_out, *conv_out_hw(h, w, spec.k, spec.stride, spec.padding)))
+        self.tally.macs += n * conv_cost(spec, h, w)[0]
+        self.tally.conv3x3 += int(spec.k == 3 and spec.groups == 1)
+        if bias is not None:
+            self.tally.other += y.size  # bias add
+        return y
 
+    def pool2d(self, x, kind, k, stride, padding=0, include_pad=True):
+        n, c, h, w = x.shape
+        y = zero_view((n, c, *conv_out_hw(h, w, k, stride, padding)))
+        self.tally.other += k * k * y.size  # one per window entry
+        return y
 
-def _adown_work(block, c, h, w) -> tuple[int, int]:
-    ho, wo = conv_out_hw(h - 1, w - 1, 3, 2, 1)
-    # 2x2 stride-1 average pool, then a 3x3 stride-2 max pool on one half
-    return 0, 4 * c * (h - 1) * (w - 1) + 9 * (c // 2) * ho * wo
+    def batchnorm_infer(self, x, bn):
+        self.tally.other += 2 * x.size  # scale + shift
+        return x
 
+    def activation(self, x, kind):
+        if kind != "identity":
+            self.tally.other += x.size
+        return x
 
-# A composite's own work beyond its children, as (macs, other_ops) from
-# (block, c_in, h, w) at the block's input; kinds not listed have none.
-_OWN_WORK = {
-    B.RepCSP: lambda b, c, h, w: (0, b.cv1.spec.c_out * h * w),  # branch add
-    B.MerudandaDW: lambda b, c, h, w: (0, c * h * w),  # residual add
-    B.SqueezeExcite: lambda b, c, h, w: (0, 2 * c * h * w),  # pool reads, gating multiply
-    B.RepViTBlock: lambda b, c, h, w: (0, 2 * c * h * w),  # mixer residuals
-    B.AttentionBlockV2: lambda b, c, h, w: (0, 2 * c * h * w),  # sublayer residuals
-    B.SPPF: lambda b, c, h, w: (0, 3 * b.k * b.k * b.cv1.spec.c_out * h * w),  # max pools
-    B.AttentionV2: _attention_work,
-    B.ADown: _adown_work,
-}
+    def add(self, x, y):  # and mul: one per element of x
+        self.tally.other += x.size
+        return x
+
+    mul = add
+
+    def global_avg_pool(self, x):
+        self.tally.other += x.size  # one read per input element
+        return zero_view((*x.shape[:2], 1, 1))
+
+    def matmul_batched(self, a, b):
+        y = zero_view((*a.shape[:-1], b.shape[-1]))
+        self.tally.macs += y.size * a.shape[-1]
+        return y
+
+    def softmax_lastdim(self, m):
+        self.tally.other += 4 * m.size  # max, sub+exp, sum, div
+        return m
+
+    def split_channels(self, x, parts):
+        n, c, h, w = x.shape
+        return [zero_view((n, c // parts, h, w))] * parts
+
+    def concat_channels(self, xs):
+        n, _, h, w = xs[0].shape
+        if any(x.shape[2:] != (h, w) for x in xs):
+            raise ShapeError(f"concat shape mismatch: {[x.shape for x in xs]}")
+        return zero_view((n, sum(x.shape[1] for x in xs), h, w))
+
+    def upsample_nearest(self, x):
+        n, c, h, w = x.shape
+        return zero_view((n, c, 2 * h, 2 * w))
 
 
 def block_tally(block, h: int, w: int) -> tuple[Tally, int, int]:
-    """Walk a block's structure, summing costs; returns output spatial dims."""
-    if isinstance(block, B.ConvBNAct):
-        return _conv_leaf(block.spec, h, w, bn=True, act=block.act)
-    if isinstance(block, B.ConvAct):
-        return _conv_leaf(block.spec, h, w, bn=False, act=block.act)
-
-    t = Tally()
-    if isinstance(block, B.RepVGGBlock):
-        leaf3, ho, wo = _conv_leaf(block.spec3, h, w, bn=True, act="identity")
-        leaf1, _, _ = _conv_leaf(block.spec1, h, w, bn=True, act="identity")
-        t += leaf3
-        t += leaf1
-        elems = block.spec3.c_out * ho * wo
-        t.other += elems  # branch add
-        if block.bnid is not None:
-            t.params += 2 * block.spec3.c_out
-            t.other += 3 * elems  # bn apply + extra add
-        t.other += elems  # activation
-        return t, ho, wo
-
-    # Every child reads the block's input dims, whatever its place in CHILDREN,
-    # except SE's gate convs, which act on the pooled 1x1 vector, and ADown's
-    # branches: cv1 reads the (h-1)x(w-1) average pool, cv2 the 3x3 stride-2
-    # max pool of that. ADown is the only composite that changes spatial dims.
-    out_hw = (h, w)
-    if isinstance(block, B.ADown):
-        if h % 2 or w % 2:
-            raise ShapeError(f"adown needs even spatial dims, got {h}x{w}")
-        out_hw = conv_out_hw(h - 1, w - 1, 3, 2, 1)
-    for seg, child in block.children():
-        in_hw = (1, 1) if isinstance(block, B.SqueezeExcite) else (h, w)
-        if isinstance(block, B.ADown):
-            in_hw = (h - 1, w - 1) if seg == "cv1" else out_hw
-        sub, *child_hw = block_tally(child, *in_hw)
-        if tuple(child_hw) not in (in_hw, out_hw):
-            raise ValueError(f"{type(block).__name__}.{seg} changes spatial dims inside its block")
-        t += sub
-    macs, other = _OWN_WORK.get(type(block), lambda *_: (0, 0))(block, block.c_in, h, w)
-    t.macs += macs
-    t.other += other
-    return (t, *out_hw)
+    """A block's cost at input h x w, and its output spatial dims, read off
+    its forward on a zero view."""
+    meta = MetaBackend()
+    with override_backend(meta):
+        y = block.forward(zero_view((1, block.c_in, h, w)))
+    return (meta.take(block), *y.shape[2:])
 
 
 @dataclass
@@ -244,9 +227,8 @@ def graph_cost(graph, input_shape: tuple) -> CostReport:
 class ADownCost:
     """The downsampler's conv arithmetic vs a standard 3x3 stride-2 conv.
 
-    macs/params cover the two convolutions only; pooling work is reported
-    separately (pool_ops) and excluded from the ratio, which is the exact
-    rational 5/18 for every even geometry.
+    macs/params cover the two convolutions only; pooling work is excluded
+    from the ratio, which is the exact rational 5/18 for every even geometry.
     """
 
     macs: int
@@ -254,7 +236,6 @@ class ADownCost:
     ratio_vs_standard: Fraction
     std_macs: int
     std_params: int
-    pool_ops: int
 
 
 def adown_cost(c_in: int, c_out: int, h: int, w: int) -> ADownCost:
@@ -262,5 +243,4 @@ def adown_cost(c_in: int, c_out: int, h: int, w: int) -> ADownCost:
     macs = block_tally(block, h, w)[0].macs
     params = sum(conv_cost(cv.spec, h, w)[1] for cv in (block.cv1, block.cv2))
     std_macs, std_params = conv_cost(ConvSpec(c_in, c_out, 3, 2, 1), h, w)
-    pool_ops = _adown_work(block, c_in, h, w)[1]
-    return ADownCost(macs, params, Fraction(macs, std_macs), std_macs, std_params, pool_ops)
+    return ADownCost(macs, params, Fraction(macs, std_macs), std_macs, std_params)

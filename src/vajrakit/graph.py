@@ -19,9 +19,9 @@ source. Every referenced id must be defined on an earlier line, which keeps
 the graph a DAG by construction and lets channel counts be checked in one
 forward pass.
 
-``static_walk`` is the one static pass over a graph at a concrete input: it
-builds each block once and yields its output (c, h, w) and cost ``Tally``,
-the dims read off the block's structure by ``cost.block_tally``.
+``static_walk`` is the one static pass over a graph at a concrete input: the
+graph's own ``Model.walk`` over a zero view on ``cost.MetaBackend``, which
+gives each node's output (c, h, w) and cost ``Tally`` with no storage.
 ``propagate_shapes`` and ``cost.graph_cost`` are views of it.
 """
 from __future__ import annotations
@@ -32,8 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import blocks as B
-from .cost import Tally, block_tally
-from .tensor import ShapeError, check_tensor4, concat_channels, upsample_nearest
+from .cost import MetaBackend
+from .tensor import (ShapeError, check_tensor4, concat_channels, override_backend,
+                     upsample_nearest, zero_view)
 
 _IO = {"in": "c_in", "out": "c_out"}
 # kind -> (block class, or None for the parameter-free kinds;
@@ -332,30 +333,13 @@ def build_block(node: BlockNode, fused: bool = False):
     return blk.fuse() if fused else blk
 
 
-def static_walk(graph: ModelGraph, c: int, h: int, w: int):
-    """Yield (node, output (c, h, w), Tally) per node in order; a ShapeError
-    names the offending node."""
-    graph.check_input_channels(c)
-    shapes = {"input": (c, h, w)}
-    for node in graph.nodes:
-        srcs = [shapes[s] for s in node.inputs]
-        tally = Tally()
-        try:
-            if node.kind == "concat":
-                hw = {s[1:] for s in srcs}
-                if len(hw) != 1:
-                    raise ShapeError(f"concat inputs disagree on spatial dims: {sorted(hw)}")
-                out = (sum(s[0] for s in srcs), *srcs[0][1:])
-            elif node.kind == "upsample":
-                (sc, sh, sw), = srcs
-                out = (sc, 2 * sh, 2 * sw)
-            else:
-                tally, ho, wo = block_tally(build_block(node, graph.fused), *srcs[0][1:])
-                out = (node.attrs["out"], ho, wo)
-        except (ValueError, ShapeError) as e:
-            raise ShapeError(f"node '{node.id}': {e}") from None
-        shapes[node.id] = out
-        yield node, out, tally
+def static_walk(graph: ModelGraph, c: int, h: int, w: int) -> list:
+    """(node, output (c, h, w), Tally) per node, from one forward on ``MetaBackend``; a
+    ShapeError names the offending node. A list: no backend is left set for the caller."""
+    model, meta = Model(graph), MetaBackend()
+    with override_backend(meta):
+        return [(node, y.shape[1:], meta.take(model.blocks[node.id]))
+                for node, y in model.walk(zero_view((1, c, h, w)))]
 
 
 def propagate_shapes(graph: ModelGraph, c: int, h: int, w: int) -> dict:

@@ -2,11 +2,11 @@
 
 Everything here is deliberately slow and literal: convolution as the explicit
 loop nest over output sites and receptive fields, pooling as window loops,
-softmax row by row. These are the independent second route for every
-equivalence check in the test suite, and the multiply-accumulate counter is
-driven by the work actually performed (receptive-field sizes of executed
-sites, inner dimensions of executed dot products), never by the closed-form
-cost formulas it is used to validate.
+softmax row by row: the independent second route for every equivalence check
+(hooked ops it lacks run the fast path). The MAC counter counts the work done
+(receptive fields of executed sites, inner dims of executed dot products).
+cost.py runs the same block forwards, so the two agreeing checks each op's
+formula against loops; block structure is checked by the tests' own figures.
 
 Usage:
 

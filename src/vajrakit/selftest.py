@@ -22,7 +22,8 @@ from .tensor import DTYPE, BNParams, ConvSpec, conv2d, conv_out_hw, pool2d, soft
 from .weights import WeightStore, init_weights
 
 
-def _rand_bn(rng, c) -> BNParams:
+def rand_bn(rng, c) -> BNParams:
+    """Well-conditioned random statistics: positive var, moderate gain."""
     return BNParams(
         rng.uniform(0.5, 1.5, c).astype(DTYPE),
         rng.normal(0, 0.2, c).astype(DTYPE),
@@ -82,10 +83,10 @@ def check_repvgg_fusion():
         blk = B.RepVGGBlock(c, c, stride, identity)
         blk.w3 = rng.standard_normal(blk.spec3.weight_shape).astype(DTYPE) * DTYPE(0.3)
         blk.w1 = rng.standard_normal(blk.spec1.weight_shape).astype(DTYPE) * DTYPE(0.3)
-        blk.bn3 = _rand_bn(rng, c)
-        blk.bn1 = _rand_bn(rng, c)
+        blk.bn3 = rand_bn(rng, c)
+        blk.bn1 = rand_bn(rng, c)
         if identity:
-            blk.bnid = _rand_bn(rng, c)
+            blk.bnid = rand_bn(rng, c)
         fused = fuse_block(blk)
         x = rng.standard_normal((2, c, 16, 16)).astype(DTYPE)
         diff = np.abs(blk.forward(x) - fused.forward(x)).max()

@@ -2,8 +2,9 @@
 
 Every computational block in the kit is composed from the ops in this module:
 convolution, pooling, inference-mode batchnorm, activations, softmax, batched
-matmul and channel split/concat. Tensors are plain numpy arrays of shape
-(n, c, h, w), float32 throughout; all ops are pure functions of their inputs.
+matmul, elementwise add and product, and channel split/concat. Tensors are
+plain numpy arrays of shape (n, c, h, w), float32 throughout; all ops are
+pure functions of their inputs.
 
 Dense convolution is a BLAS matmul over the im2col patch matrix, built one
 bounded row tile at a time straight from the unpadded input (zeros where a
@@ -14,15 +15,17 @@ kernel tap over shifted, strided views of the padded input. Pooling is a
 separable reduction: the k row-shifted slices, then the k column-shifted
 slices of that, folded with np.maximum or np.add.
 
-The heavy primitives (conv2d, pool2d, matmul_batched, softmax_lastdim) consult
-an overridable backend so the slow reference implementation in ``oracle.py``
-can be swapped in underneath whole blocks for equivalence checks and
-instrumented MAC counting.
+Every op that blocks and graphs call is hooked: it runs the same-named method
+of the backend installed by ``override_backend``, or the fast path here if
+there is none. So ``oracle.py`` swaps in its naive ops, and ``cost.py``
+reads shapes and costs off a forward over ``zero_view``s, which hold one
+element whatever their shape. ``mul`` broadcasts its second operand.
 """
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,8 +129,17 @@ class BNParams:
         return len(self.gamma)
 
 
+_ZERO = np.zeros(1, DTYPE)
+_ZERO.flags.writeable = False
+
+
+def zero_view(shape: tuple) -> np.ndarray:
+    """A read-only all-zero array of any `shape`, all of it one shared element."""
+    return np.ndarray(shape, DTYPE, _ZERO, 0, (0,) * len(shape))
+
+
 # ---------------------------------------------------------------------------
-# Backend dispatch: default fast path, or the naive reference from oracle.py.
+# Backend dispatch: default fast path, or an installed backend's own op.
 # ---------------------------------------------------------------------------
 
 _BACKEND: contextvars.ContextVar = contextvars.ContextVar("vajrakit_backend", default=None)
@@ -135,12 +147,23 @@ _BACKEND: contextvars.ContextVar = contextvars.ContextVar("vajrakit_backend", de
 
 @contextlib.contextmanager
 def override_backend(backend):
-    """Route conv/pool/matmul/softmax through `backend` within the context."""
+    """Route every hooked op through `backend` within the context."""
     token = _BACKEND.set(backend)
     try:
         yield backend
     finally:
         _BACKEND.reset(token)
+
+
+def _hooked(op):
+    """The one dispatch point: the installed backend's same-named method, else `op`."""
+    name = op.__name__
+
+    @functools.wraps(op)
+    def dispatch(*args, **kwargs):
+        return (getattr(_BACKEND.get(), name, None) or op)(*args, **kwargs)
+
+    return dispatch
 
 
 def _pad_hw(x: np.ndarray, p: int, value: float = 0.0) -> np.ndarray:
@@ -229,6 +252,7 @@ def _dense_conv(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, ho: int, wo:
     return out
 
 
+@_hooked
 def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
     """Grouped 2-D convolution over NCHW.
 
@@ -240,10 +264,6 @@ def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray 
     loop-nest in oracle.py is part of the contract and enforced by the test
     suite.
     """
-    backend = _BACKEND.get()
-    if backend is not None:
-        return backend.conv2d(x, spec, weights, bias)
-
     check_tensor4(x, "conv input")
     if x.shape[1] != spec.c_in:
         raise ShapeError(f"conv expects {spec.c_in} input channels, got {x.shape[1]}")
@@ -276,6 +296,7 @@ def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray 
     return out
 
 
+@_hooked
 def pool2d(
     x: np.ndarray,
     kind: str,
@@ -289,10 +310,6 @@ def pool2d(
     Max pads with -inf so padding never wins, and rounds nothing; average
     divides the sum by the full window k*k unless include_pad=False, then
     by the count of real entries, reduced the same way over padded ones."""
-    backend = _BACKEND.get()
-    if backend is not None:
-        return backend.pool2d(x, kind, k, stride, padding, include_pad)
-
     check_tensor4(x, "pool input")
     if kind not in ("avg", "max"):
         raise ValueError(f"pool kind must be avg|max, got {kind!r}")
@@ -309,6 +326,7 @@ def pool2d(
     return out
 
 
+@_hooked
 def batchnorm_infer(x: np.ndarray, bn: BNParams) -> np.ndarray:
     """Per-channel y = gamma * (x - mean) / sqrt(var + eps) + beta."""
     check_tensor4(x, "bn input")
@@ -331,6 +349,7 @@ def sigmoid(t: np.ndarray) -> np.ndarray:
     return y
 
 
+@_hooked
 def activation(x: np.ndarray, kind: str) -> np.ndarray:
     """Elementwise silu | sigmoid | identity; silu(t) = t * sigmoid(t),
     computed in the sigmoid's buffer."""
@@ -345,21 +364,17 @@ def activation(x: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown activation {kind!r}")
 
 
+@_hooked
 def softmax_lastdim(m: np.ndarray) -> np.ndarray:
     """Row-stochastic softmax over the trailing axis, max-shifted for stability."""
-    backend = _BACKEND.get()
-    if backend is not None:
-        return backend.softmax_lastdim(m)
     m = np.asarray(m, DTYPE)
     z = np.exp(m - m.max(axis=-1, keepdims=True))
     return z / z.sum(axis=-1, keepdims=True)
 
 
+@_hooked
 def matmul_batched(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product over the trailing two axes per batch element."""
-    backend = _BACKEND.get()
-    if backend is not None:
-        return backend.matmul_batched(a, b)
     a = np.asarray(a, DTYPE)
     b = np.asarray(b, DTYPE)
     if a.shape[-1] != b.shape[-2]:
@@ -367,6 +382,7 @@ def matmul_batched(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a, b)
 
 
+@_hooked
 def split_channels(x: np.ndarray, parts: int) -> list[np.ndarray]:
     """Split into `parts` equal channel slices (copies, contiguous)."""
     check_tensor4(x, "split input")
@@ -376,6 +392,7 @@ def split_channels(x: np.ndarray, parts: int) -> list[np.ndarray]:
     return [np.ascontiguousarray(x[:, i * step:(i + 1) * step]) for i in range(parts)]
 
 
+@_hooked
 def concat_channels(xs: list[np.ndarray]) -> np.ndarray:
     """Channel-axis concatenation; inverse of split_channels."""
     if not xs:
@@ -388,18 +405,27 @@ def concat_channels(xs: list[np.ndarray]) -> np.ndarray:
     return np.ascontiguousarray(np.concatenate(xs, axis=1))
 
 
+@_hooked
 def add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if x.shape != y.shape:
         raise ShapeError(f"add shape mismatch: {x.shape} vs {y.shape}")
     return x + y
 
 
+@_hooked
+def mul(x: np.ndarray, y) -> np.ndarray:
+    """Elementwise product, `y` broadcast against `x`."""
+    return x * y
+
+
+@_hooked
 def global_avg_pool(x: np.ndarray) -> np.ndarray:
     """Spatial mean per channel -> (n, c, 1, 1)."""
     check_tensor4(x, "gap input")
     return x.mean(axis=(2, 3), keepdims=True, dtype=DTYPE)
 
 
+@_hooked
 def upsample_nearest(x: np.ndarray) -> np.ndarray:
     """Nearest-neighbour 2x spatial upsampling."""
     check_tensor4(x, "upsample input")

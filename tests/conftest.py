@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from vajrakit.tensor import DTYPE, BNParams
+from vajrakit.selftest import rand_bn  # noqa: F401  (re-exported to the test modules)
+from vajrakit.tensor import DTYPE
 
 U = 2.0 ** -24  # float32 unit roundoff
 
@@ -15,17 +16,6 @@ def gamma(n: int) -> float:
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
-
-
-def rand_bn(rng, c, eps=1e-3) -> BNParams:
-    """Well-conditioned random statistics: positive var, moderate gain."""
-    return BNParams(
-        rng.uniform(0.5, 1.5, c).astype(DTYPE),
-        rng.normal(0, 0.2, c).astype(DTYPE),
-        rng.normal(0, 0.5, c).astype(DTYPE),
-        rng.uniform(0.25, 2.0, c).astype(DTYPE),
-        eps,
-    )
 
 
 def randomize(block, rng, scale=0.3, with_bn=False):

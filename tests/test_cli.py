@@ -225,6 +225,15 @@ def test_directory_path_is_an_error_line(preset_n, tmp_path, command, flag):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["cost", "describe"])
+def test_shape_beyond_numpy_array_size_is_an_error_line(preset_n, command):
+    # the static walk holds a view of every intermediate, and at this input
+    # N's attention logits would exceed numpy's maximum array size
+    code, out, err = run_cli(command, "--config", preset_n, "--shape", "1x3x6400000x6400000")
+    assert code == 1 and out == ""
+    assert err.startswith("error: node 'attn': array is too big") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["cost", "reparam-check", "forward"])
 def test_bad_out_fails_before_any_work(preset_n, tmp_path, monkeypatch, capsys, command):
     def no_work(*_):

@@ -22,12 +22,15 @@ from vajrakit.tensor import (
     conv_out_hw,
     global_avg_pool,
     matmul_batched,
+    mul,
+    override_backend,
     pool2d,
     sigmoid,
     softmax_lastdim,
     split_channels,
     tensor4,
     upsample_nearest,
+    zero_view,
 )
 
 
@@ -466,3 +469,77 @@ class TestSmallOps:
     def test_tensor4_validation(self):
         with pytest.raises(ShapeError):
             tensor4(np.zeros((2, 3), DTYPE))
+
+    def test_mul_broadcasts_the_second_operand(self, rng):
+        x = rand_input(rng, 2, 3, 4, 4)
+        gate = rand_input(rng, 2, 3, 1, 1)
+        assert np.array_equal(mul(x, gate), x * gate)
+        assert np.array_equal(mul(x, DTYPE(0.5)), x * DTYPE(0.5))
+
+
+class TestZeroView:
+    def test_read_only_zeros_of_any_shape(self):
+        v = zero_view((2, 3, 4, 5))
+        assert v.shape == (2, 3, 4, 5) and v.dtype == DTYPE
+        assert not v.flags.writeable and not v.any()
+
+    def test_allocates_nothing_however_large(self):
+        tracemalloc.start()
+        try:
+            v = zero_view((1, 1024, 4096, 4096))  # 64 GB if it held storage
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.size == 1 << 34 and peak < 1 << 12
+
+
+HOOKED = ("conv2d", "pool2d", "batchnorm_infer", "activation", "add", "mul", "split_channels",
+          "concat_channels", "upsample_nearest", "global_avg_pool", "matmul_batched",
+          "softmax_lastdim")
+
+
+class Recorder:
+    """A backend defining every hooked op: records its name, runs the fast path."""
+
+    def __init__(self):
+        self.seen = set()
+
+    def __getattr__(self, name):
+        if name not in HOOKED:
+            raise AttributeError(name)
+
+        def op(*args, **kwargs):
+            self.seen.add(name)
+            with override_backend(None):
+                return getattr(tensor, name)(*args, **kwargs)
+        return op
+
+
+class TestDispatch:
+    @pytest.fixture(scope="class")
+    def preset_n(self):
+        from vajrakit.graph import Model
+        from vajrakit.presets import load_preset
+        from vajrakit.weights import init_weights
+
+        graph, _ = load_preset("N")
+        model = Model(graph).bind(init_weights(graph, 0))
+        x = np.random.default_rng(0).standard_normal((1, 3, 64, 64)).astype(DTYPE)
+        return model, x, model.stage_outputs(x)
+
+    def _assert_same(self, got, want):
+        assert list(got) == list(want)
+        for tag in want:
+            assert np.array_equal(got[tag], want[tag]), tag
+
+    def test_backend_without_ops_falls_through_to_fast_path(self, preset_n):
+        model, x, plain = preset_n
+        with override_backend(object()):
+            self._assert_same(model.stage_outputs(x), plain)
+
+    def test_backend_defining_every_op_sees_every_op(self, preset_n):
+        model, x, plain = preset_n
+        rec = Recorder()
+        with override_backend(rec):
+            self._assert_same(model.stage_outputs(x), plain)
+        assert rec.seen == set(HOOKED)

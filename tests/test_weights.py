@@ -204,6 +204,16 @@ class TestFusedBuildAllocatesNoWeights:
         assert _peak(Model, graph) < 1 << 20
         assert _peak(graph_cost, graph, (3, 640, 640)) < 1 << 20
 
+    @pytest.mark.parametrize("scale", ["N", "X"])
+    @pytest.mark.parametrize("header", ["", "fused=1\n"], ids=["train", "fused"])
+    def test_cost_run_allocates_no_feature_map(self, scale, header):
+        # the cost walk runs every forward on zero views: a raw numpy op left
+        # in a block would allocate a feature map and grow with the input
+        graph, _ = parse_config(header + preset_text(scale))
+        small, large = (_peak(graph_cost, graph, (3, s, s)) for s in (320, 1280))
+        assert small < 1 << 20 and large < 1 << 20
+        assert abs(large - small) <= 16 << 10
+
     def test_fused_structure_holds_only_read_only_arrays(self):
         fused = B.MerudandaX(64, 64, 2).fuse()
         for name, arr, _ in fused.named_arrays("m"):

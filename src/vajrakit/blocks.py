@@ -27,6 +27,11 @@ zero-view ``ConvAct`` over their (3x3) spec, ``ConvAct`` gives itself, and a
 composite a shallow copy holding its fused children. reparam.fuse_block
 folds the arrays into it. Each forward calls only tensor.py's hooked ops, so
 cost.py reads shapes and costs off a forward pass over zero views.
+
+Forward never writes into its input: it passes ``out=`` (tensor.py's
+ownership rule) only an array an op returned to it in the same forward, so
+batchnorm, branch adds and activations run in the buffer of the conv output
+they follow, and residual adds write into the branch output.
 """
 from __future__ import annotations
 
@@ -109,7 +114,8 @@ class ConvBNAct(Block):
         return self.spec.c_in
 
     def forward(self, x):
-        return activation(batchnorm_infer(conv2d(x, self.spec, self.w), self.bn), self.act)
+        y = conv2d(x, self.spec, self.w)
+        return activation(batchnorm_infer(y, self.bn, out=y), self.act, out=y)
 
     def fuse(self) -> "ConvAct":
         s = self.spec
@@ -132,7 +138,8 @@ class ConvAct(Block):
         return self.spec.c_in
 
     def forward(self, x):
-        return activation(conv2d(x, self.spec, self.w, self.b), self.act)
+        y = conv2d(x, self.spec, self.w, self.b)
+        return activation(y, self.act, out=y)
 
     def fuse(self) -> "ConvAct":
         return self
@@ -166,13 +173,11 @@ class RepVGGBlock(Block):
         return self.spec3.c_in
 
     def forward(self, x):
-        y = add(
-            batchnorm_infer(conv2d(x, self.spec3, self.w3), self.bn3),
-            batchnorm_infer(conv2d(x, self.spec1, self.w1), self.bn1),
-        )
+        y, z = conv2d(x, self.spec3, self.w3), conv2d(x, self.spec1, self.w1)
+        y = add(batchnorm_infer(y, self.bn3, out=y), batchnorm_infer(z, self.bn1, out=z), out=y)
         if self.bnid is not None:
-            y = add(y, batchnorm_infer(x, self.bnid))
-        return activation(y, "silu")
+            y = add(y, batchnorm_infer(x, self.bnid), out=y)
+        return activation(y, "silu", out=y)
 
     def fuse(self) -> ConvAct:
         return ConvAct(self.spec3.c_in, self.spec3.c_out, 3, self.spec3.stride)
@@ -213,7 +218,7 @@ class RepCSP(Composite):
         y = self.cv1.forward(x)
         for blk in self.blocks:
             y = blk.forward(y)
-        return self.cv3.forward(add(y, self.cv2.forward(x)))
+        return self.cv3.forward(add(y, self.cv2.forward(x), out=y))
 
 
 class MerudandaX(Composite):
@@ -241,7 +246,9 @@ class MerudandaX(Composite):
         a, b = split_channels(self.stem.forward(x), 2)
         c = self.conv1.forward(self.csp1.forward(b))
         d = self.conv2.forward(self.csp2.forward(c))
-        return self.final.forward(concat_channels([a, b, c, d]))
+        cat = concat_channels([a, b, c, d])
+        del a, b, c, d
+        return self.final.forward(cat)
 
 
 class DWChain(Composite):
@@ -275,7 +282,8 @@ class MerudandaDW(Composite):
         self.chain = DWChain(c, dw_kernel)
 
     def forward(self, x):
-        return add(x, self.chain.forward(x))
+        y = self.chain.forward(x)
+        return add(x, y, out=y)
 
 
 class SqueezeExcite(Composite):
@@ -307,8 +315,10 @@ class RepViTBlock(Composite):
         self.mlp2 = ConvBNAct(2 * c, c, 1, act="identity")
 
     def forward(self, x):
-        x1 = add(x, self.se.forward(self.chain.forward(x)))
-        return add(x1, self.mlp2.forward(self.mlp1.forward(x1)))
+        y = self.se.forward(self.chain.forward(x))
+        x1 = add(x, y, out=y)
+        y = self.mlp2.forward(self.mlp1.forward(x1))
+        return add(x1, y, out=y)
 
 
 _INNER = {"merudanda_dw": MerudandaDW, "repvit": RepViTBlock}
@@ -388,7 +398,7 @@ class AttentionV2(Composite):
         out_seq = matmul_batched(v_seq, attn.transpose(0, 1, 3, 2))
 
         out_map = out_seq.reshape(n, c, h, w)
-        y = self.proj.forward(add(out_map, self.pe.forward(v_map)))
+        y = self.proj.forward(add(out_map, self.pe.forward(v_map), out=out_map))
         if return_attn:
             return y, attn
         return y
@@ -406,8 +416,10 @@ class AttentionBlockV2(Composite):
         self.ffn2 = ConvBNAct(2 * c, c, 1, act="identity")
 
     def forward(self, x):
-        x1 = add(x, self.attn.forward(x))
-        return add(x1, self.ffn2.forward(self.ffn1.forward(x1)))
+        y = self.attn.forward(x)
+        x1 = add(x, y, out=y)
+        y = self.ffn2.forward(self.ffn1.forward(x1))
+        return add(x1, y, out=y)
 
 
 class AttentionBhag6(Composite):
@@ -434,7 +446,8 @@ class AttentionBhag6(Composite):
         a, b = split_channels(y, 2)
         for blk in self.blocks:
             b = blk.forward(b)
-        return self.cv2.forward(concat_channels([a, b]))
+        # b's input half of y is dead: the concat overwrites it, a is in place
+        return self.cv2.forward(concat_channels([a, b], out=y))
 
 
 class ADown(Composite):

@@ -49,7 +49,7 @@ class TestRepCSP:
     def test_zero_weights_constant_output(self, rng):
         blk = B.RepCSP(8, 8, n=1)
         b = DTYPE(0.625)
-        blk.cv3.bn.beta[...] = b
+        blk.cv3.bn.beta = np.full(8, b, DTYPE)  # identity statistics are shared, read-only
         y = blk.forward(rand_input(rng, 2, 8, 5, 5))
         expected = activation(np.full((1, 1, 1, 1), b, DTYPE), "silu")[0, 0, 0, 0]
         assert np.all(y == expected)

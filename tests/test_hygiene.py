@@ -1,10 +1,18 @@
-"""Source hygiene: every imported name in the package is used."""
+"""Source hygiene: every imported name in the package is used, and no op
+or block writes into an input except through out=."""
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vajrakit
+from vajrakit import blocks as B
+from vajrakit import tensor as T
+from vajrakit.graph import Model
+from vajrakit.presets import load_preset
+from vajrakit.reparam import reparam_graph
+from vajrakit.weights import init_weights
 
 MODULES = sorted(p for p in Path(vajrakit.__file__).parent.rglob("*.py") if p.name != "__init__.py")
 
@@ -25,3 +33,72 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [name for name in _imported_names(tree) if name not in used]
     assert not unused, f"{path.name} imports unused {unused}"
+
+
+def _read_only(shape, seed=0):
+    a = np.random.default_rng(seed).standard_normal(shape).astype(T.DTYPE)
+    a.flags.writeable = False
+    return a
+
+
+def _hooked_calls():
+    """(op name, call) pairs running each hooked op's fast path on read-only arrays."""
+    x, y = _read_only((2, 4, 6, 6), 1), _read_only((2, 4, 6, 6), 2)
+    bn = T.BNParams(*(np.abs(_read_only((4,), s)) for s in range(3, 7)))
+    calls = [("conv2d", lambda s=s: T.conv2d(x, s, _read_only(s.weight_shape), _read_only((4,))))
+             for s in (T.ConvSpec(4, 4, 3, 1, 1, has_bias=True), T.ConvSpec(4, 4, 1, 2, 0, has_bias=True),
+                       T.ConvSpec(4, 4, 3, 2, 1, 4, has_bias=True))]
+    calls += [("pool2d", lambda: T.pool2d(x, "max", 3, 2, 1)), ("pool2d", lambda: T.pool2d(x, "avg", 2, 1, 0)),
+              ("batchnorm_infer", lambda: T.batchnorm_infer(x, bn))]
+    calls += [("activation", lambda k=k: T.activation(x, k)) for k in ("silu", "sigmoid", "identity")]
+    calls += [("add", lambda: T.add(x, y)), ("mul", lambda: T.mul(x, y)),
+              ("split_channels", lambda: T.split_channels(x, 2)),
+              ("concat_channels", lambda: T.concat_channels([x, y])),
+              ("upsample_nearest", lambda: T.upsample_nearest(x)),
+              ("global_avg_pool", lambda: T.global_avg_pool(x)),
+              ("matmul_batched", lambda: T.matmul_batched(x, y)),
+              ("softmax_lastdim", lambda: T.softmax_lastdim(x))]
+    return calls
+
+
+def test_every_hooked_op_runs_on_read_only_inputs():
+    # numpy raises on any write into a read-only array, so an op that wrote
+    # into an input other than through out= fails here
+    dispatch = T.conv2d.__code__
+    hooked = {name for name, f in vars(T).items() if getattr(f, "__code__", None) is dispatch}
+    seen = set()
+    for name, call in _hooked_calls():
+        call()
+        seen.add(name)
+    assert seen == hooked
+
+
+def _block_classes(cls=B.Block):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _block_classes(sub)
+
+
+@pytest.mark.parametrize("form", ["train", "fused"])
+@pytest.mark.parametrize("scale", ["N", "M", "X"])
+def test_no_block_writes_into_its_input(scale, form, monkeypatch):
+    # every block's forward is handed a read-only view of its input, so a
+    # block that wrote into its input, or into a split part of it, raises;
+    # writes into buffers the block got from its own ops still succeed
+    graph, _ = load_preset(scale)
+    store = init_weights(graph, 0)
+    if form == "fused":
+        graph, store = reparam_graph(graph, store)
+    model = Model(graph).bind(store)
+    x = _read_only((2, 3, 64, 64))
+    want = model.stage_outputs(x)
+    for cls in _block_classes():
+        if "forward" in vars(cls):
+            def forward(self, x, *args, _forward=cls.forward, **kwargs):
+                view = x.view()
+                view.flags.writeable = False
+                return _forward(self, view, *args, **kwargs)
+            monkeypatch.setattr(cls, "forward", forward)
+    got = model.stage_outputs(x)
+    assert list(got) == list(want)
+    assert all(np.array_equal(got[tag], want[tag]) for tag in want)

@@ -499,10 +499,12 @@ HOOKED = ("conv2d", "pool2d", "batchnorm_infer", "activation", "add", "mul", "sp
 
 
 class Recorder:
-    """A backend defining every hooked op: records its name, runs the fast path."""
+    """A backend defining every hooked op: records its name and the keyword
+    arguments it is passed, runs the fast path."""
 
     def __init__(self):
         self.seen = set()
+        self.keywords = set()
 
     def __getattr__(self, name):
         if name not in HOOKED:
@@ -510,6 +512,7 @@ class Recorder:
 
         def op(*args, **kwargs):
             self.seen.add(name)
+            self.keywords.update(kwargs)
             with override_backend(None):
                 return getattr(tensor, name)(*args, **kwargs)
         return op
@@ -543,3 +546,122 @@ class TestDispatch:
         with override_backend(rec):
             self._assert_same(model.stage_outputs(x), plain)
         assert rec.seen == set(HOOKED)
+
+    def test_hooked_names_are_every_dispatched_op(self):
+        dispatch = tensor.conv2d.__code__
+        assert {name for name, f in vars(tensor).items()
+                if getattr(f, "__code__", None) is dispatch} == set(HOOKED)
+
+    def test_backend_is_never_passed_out(self, preset_n):
+        # blocks pass out= to five ops; the dispatch point keeps it from every
+        # backend, whose result the block then uses instead
+        model, x, plain = preset_n
+        rec = Recorder()
+        with override_backend(rec):
+            self._assert_same(model.stage_outputs(x), plain)
+        assert "out" not in rec.keywords
+
+
+def _slot(shape):
+    """A NaN-filled channel slice of a buffer 3 channels wider: for n > 1 not
+    contiguous, so every write has to land through the view's strides."""
+    n, c, h, w = shape
+    return np.full((n, c + 3, h, w), np.nan, DTYPE)[:, 1:1 + c]
+
+
+class TestOutContract:
+    """conv2d, batchnorm_infer, add, activation and concat_channels give the
+    same bits with or without out=, into a slice of a wider buffer, or (the
+    elementwise ones) onto an input; they write there and return it."""
+
+    @pytest.mark.parametrize("k, s, g, bias", [(3, 1, 1, False), (3, 2, 1, True), (1, 1, 1, False),
+                                               (1, 2, 1, True), (3, 1, 4, True), (7, 1, 8, False)])
+    def test_conv2d(self, rng, k, s, g, bias):
+        spec = ConvSpec(8, 8, k, s, k // 2, g, has_bias=bias)
+        w = rng.standard_normal(spec.weight_shape).astype(DTYPE)
+        b = rng.standard_normal(8).astype(DTYPE) if bias else None
+        wide = rand_input(rng, 2, 16, 9, 11)
+        x = split_channels(wide, 2)[1]  # a view, as blocks pass split parts
+        want = conv2d(np.ascontiguousarray(x), spec, w, b)
+        assert np.array_equal(conv2d(x, spec, w, b), want)
+        slot = _slot(want.shape)
+        assert conv2d(x, spec, w, b, out=slot) is slot
+        assert np.array_equal(slot, want)
+
+    def test_batchnorm_infer(self, rng):
+        x, bn = rand_input(rng, 2, 5, 4, 6) * DTYPE(4), rand_bn(rng, 5)
+        scale = bn.gamma / np.sqrt(bn.var + DTYPE(bn.eps))
+        shift = bn.beta - bn.mean * scale
+        want = x * scale[None, :, None, None] + shift[None, :, None, None]  # two roundings
+        assert np.array_equal(batchnorm_infer(x, bn), want)
+        slot, onto = _slot(x.shape), x.copy()
+        assert batchnorm_infer(x, bn, out=slot) is slot and np.array_equal(slot, want)
+        assert batchnorm_infer(onto, bn, out=onto) is onto and np.array_equal(onto, want)
+
+    def test_add(self, rng):
+        x, y = rand_input(rng, 2, 3, 4, 5), rand_input(rng, 2, 3, 4, 5)
+        want = x + y
+        slot = _slot(x.shape)
+        assert add(x, y, out=slot) is slot and np.array_equal(slot, want)
+        for i in range(2):
+            args = [x.copy(), y.copy()]
+            assert add(*args, out=args[i]) is args[i] and np.array_equal(args[i], want)
+
+    @pytest.mark.parametrize("kind", ["silu", "sigmoid", "identity"])
+    def test_activation(self, rng, kind):
+        x = rand_input(rng, 2, 3, 4, 5) * DTYPE(8)
+        want = activation(x, kind)
+        slot, onto = _slot(x.shape), x.copy()
+        assert activation(x, kind, out=slot) is slot and np.array_equal(slot, want)
+        assert activation(onto, kind, out=onto) is onto and np.array_equal(onto, want)
+
+    def test_silu_across_band_edges(self, rng):
+        # 67500 elements per image. Contiguous, both images are banded as one
+        # array, so bands start at 65536 and at 131072 (63572 into image 1);
+        # a slot is banded per image, so bands start at 65536 in each
+        band, per_image = tensor.SILU_BAND, 3 * 150 * 150
+        x = rand_input(rng, 2, 3, 150, 150) * DTYPE(8)
+        flat = x.reshape(2, -1)
+        extremes = np.array([np.nan, np.inf, -np.inf, 3.4e38, -3.4e38, 0.0, -0.0,
+                             1e-45, -1e-45, 88.7, -88.7, np.nan], DTYPE)
+        for at in (0, band - 6, 2 * band - per_image - 6, per_image - 12):
+            flat[:, at:at + 12] = extremes
+        with np.errstate(invalid="ignore"):  # -inf * 0 is NaN
+            want = x * sigmoid(x)  # the whole-array form
+            fresh = activation(x, "silu")
+            slot, onto = _slot(x.shape), x.copy()
+            activation(x, "silu", out=slot)
+            activation(onto, "silu", out=onto)
+        for got in (fresh, slot, onto):
+            assert np.array_equal(got, want, equal_nan=True)
+
+    def test_concat_channels(self, rng):
+        parts = [rand_input(rng, 2, c, 3, 4) for c in (1, 3, 2)]
+        want = np.concatenate(parts, axis=1)
+        assert np.array_equal(concat_channels(parts), want)
+        slot = _slot(want.shape)
+        assert concat_channels(parts, out=slot) is slot and np.array_equal(slot, want)
+        # parts already written into their slices are kept, the rest copied in
+        buf = np.full(want.shape, np.nan, DTYPE)
+        buf[:, 1:4] = parts[1]
+        placed = [parts[0], buf[:, 1:4], parts[2]]
+        assert concat_channels(placed, out=buf) is buf and np.array_equal(buf, want)
+
+    def test_out_of_the_wrong_shape_raises(self, rng):
+        x = rand_input(rng, 1, 2, 3, 3)
+        with pytest.raises(ShapeError):
+            add(x, x, out=np.empty((1, 2, 3, 4), DTYPE))
+
+    @pytest.mark.parametrize("scale", ["N", "X"])
+    @pytest.mark.parametrize("fused", [False, True], ids=["train", "fused"])
+    def test_meta_backend_writes_no_zero_view(self, scale, fused):
+        # every op a forward runs on zero views goes to MetaBackend, which is
+        # never passed out=; a fast path writing into one would raise, since
+        # zero views are read-only
+        from vajrakit.graph import parse_config, static_walk
+        from vajrakit.presets import preset_text
+
+        graph, _ = parse_config(("fused=1\n" if fused else "") + preset_text(scale))
+        for _, shape, _ in static_walk(graph, 3, 64, 64):
+            assert len(shape) == 3
+        assert tensor._ZERO[0] == 0

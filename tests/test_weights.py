@@ -18,7 +18,7 @@ from vajrakit.cost import graph_cost
 from vajrakit.graph import Model, parse_config
 from vajrakit.presets import SCALES, load_preset, preset_text
 from vajrakit.reparam import reparam_graph
-from vajrakit.tensor import DTYPE
+from vajrakit.tensor import DTYPE, BNParams
 from vajrakit.weights import WeightFormatError, WeightStore, init_weights
 
 
@@ -194,6 +194,25 @@ class TestParseAllocatesNoWeights:
         lines.append(f"block s type=sppf in={8 << 14} out=8 from=c14")
         graph, _ = parse_config("\n".join(lines))
         assert graph.nodes[-1].attrs["in"] == 131072
+
+
+class TestIdentityStatisticsShared:
+    """Unbound batchnorm holds identity statistics that bind replaces: one
+    read-only set per width, shared; each BNParams stays its own object."""
+
+    def test_shared_read_only_distinct_params(self):
+        a, b = BNParams.identity(8), BNParams.identity(8)
+        assert a is not b and a.gamma is b.gamma and a.var is b.gamma and a.beta is a.mean
+        assert not (a.gamma.flags.writeable or a.beta.flags.writeable)
+        assert a.gamma.tolist() == [1.0] * 8 and a.beta.tolist() == [0.0] * 8
+
+    def test_graph_cost_of_train_x(self):
+        graph, _ = parse_config(preset_text("X"))
+        # what four arrays of their own per batchnorm would hold: 0.94 MB
+        own = sum(arr.nbytes for name, arr, _ in Model(graph).named_arrays()
+                  if name.endswith((".gamma", ".beta", ".mean", ".var")))
+        graph_cost(graph, (3, 640, 640))  # the first use makes the set for each width
+        assert _peak(graph_cost, graph, (3, 640, 640)) < own / 4
 
 
 class TestFusedBuildAllocatesNoWeights:

@@ -446,8 +446,7 @@ class AttentionBhag6(Composite):
         a, b = split_channels(y, 2)
         for blk in self.blocks:
             b = blk.forward(b)
-        # b's input half of y is dead: the concat overwrites it, a is in place
-        return self.cv2.forward(concat_channels([a, b], out=y))
+        return self.cv2.forward(concat_channels([a, b]))
 
 
 class ADown(Composite):

@@ -22,16 +22,13 @@ there is none. So ``oracle.py`` swaps in its naive ops, and ``cost.py``
 reads shapes and costs off a forward over ``zero_view``s, which hold one
 element whatever their shape. ``mul`` broadcasts its second operand.
 
-Ownership: ``conv2d``, ``batchnorm_infer``, ``add``, ``activation`` and
-``concat_channels`` take ``out=``; the fast path writes its result there and
-returns it, and the elementwise ones allow ``out`` to be an input. A
-backend's method is never passed ``out``, so callers always use the
-returned array, which under a backend may be a new one (under
+Ownership: ``batchnorm_infer``, ``add`` and ``activation`` take ``out=``;
+the fast path writes its result there and returns it, and ``out`` may be
+an input. A backend's method is never passed ``out``, so callers always use
+the returned array, which under a backend may be a new one (under
 ``cost.MetaBackend``, a read-only zero view that nothing writes). A block
 passes as ``out`` only a buffer it got from an op in the same forward and
 no longer reads otherwise: never a block input, a weight or a split part.
-``concat_channels(parts, out=buf)`` copies only the parts that are not
-already buf's channel slices.
 """
 from __future__ import annotations
 
@@ -133,9 +130,9 @@ class BNParams:
 
     @classmethod
     def identity(cls, c: int, eps: float | None = None) -> "BNParams":
-        """gamma 1, beta 0, mean 0, var 1: read-only arrays shared by every
-        identity of width c, until bind points the fields at real ones."""
-        ones, zeros = _identity_stats(c)
+        """gamma 1, beta 0, mean 0, var 1: read-only views of one shared
+        element each, until bind points the fields at real arrays."""
+        ones, zeros = np.ndarray((c,), DTYPE, _ONE, 0, (0,)), zero_view((c,))
         return cls(ones, zeros, zeros, ones, cls.eps if eps is None else eps)
 
     @property
@@ -143,15 +140,8 @@ class BNParams:
         return len(self.gamma)
 
 
-@functools.cache
-def _identity_stats(c: int) -> tuple[np.ndarray, np.ndarray]:
-    ones, zeros = np.ones(c, DTYPE), np.zeros(c, DTYPE)
-    ones.flags.writeable = zeros.flags.writeable = False
-    return ones, zeros
-
-
-_ZERO = np.zeros(1, DTYPE)
-_ZERO.flags.writeable = False
+_ZERO, _ONE = np.zeros(1, DTYPE), np.ones(1, DTYPE)
+_ZERO.flags.writeable = _ONE.flags.writeable = False
 
 
 def zero_view(shape: tuple) -> np.ndarray:
@@ -260,7 +250,7 @@ def _dense_conv(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, out: np.ndar
     n, c, h, w = x.shape
     k, s, p = spec.k, spec.stride, spec.padding
     ho, wo = out.shape[2:]
-    out = out.reshape(n, spec.c_out, ho * wo, copy=False)
+    out = out.reshape(n, spec.c_out, ho * wo)
     wmat = weights.reshape(spec.c_out, c * k * k)
     if k == 1 and s == 1 and p == 0:
         np.matmul(wmat, x.reshape(n, c, h * w), out=out)  # a view of x; no copy
@@ -290,9 +280,8 @@ def _dense_conv(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, out: np.ndar
 
 
 @_hooked
-def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray | None = None,
-           out: np.ndarray | None = None) -> np.ndarray:
-    """Grouped 2-D convolution over NCHW, into `out` if given.
+def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+    """Grouped 2-D convolution over NCHW.
 
     Dense conv (groups == 1) is im2col + BLAS matmul, with the patch matrix
     built in row tiles of TILE_BYTES from the unpadded input and each tile
@@ -312,7 +301,7 @@ def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray 
     n, _, h, w = x.shape
     k, s, g = spec.k, spec.stride, spec.groups
     ho, wo = conv_out_hw(h, w, k, s, spec.padding)
-    out = _out(out, (n, spec.c_out, ho, wo))
+    out = np.empty((n, spec.c_out, ho, wo), DTYPE)
 
     if g == 1:
         _dense_conv(x, spec, weights, out)
@@ -320,7 +309,7 @@ def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray 
         xp = _pad_hw(x, spec.padding)
         xg = xp.reshape(n, g, spec.c_in // g, *xp.shape[2:])
         wg = weights.reshape(g, spec.c_out // g, spec.c_in // g, k, k)
-        og = out.reshape(n, g, spec.c_out // g, ho, wo, copy=False)
+        og = out.reshape(n, g, spec.c_out // g, ho, wo)
         # per tap: (g, og, cg) x (n, g, cg, ho, wo) -> (n, g, og, ho, wo)
         terms = [(wg[..., i, j], tap) for i, rows in enumerate(_taps(xg, k, s, ho, 3))
                  for j, tap in enumerate(_taps(rows, k, s, wo, 4))]
@@ -405,7 +394,7 @@ def _rows(x: np.ndarray, out: np.ndarray):
     """Matching 1-D views of x and out that together cover both in C order:
     the whole arrays if both are contiguous, else per leading index, recursively."""
     if x.ndim <= 1 or (x.flags.c_contiguous and out.flags.c_contiguous):
-        yield x.reshape(-1), out.reshape(-1, copy=False)
+        yield x.reshape(-1), out.reshape(-1)
         return
     for x_sub, out_sub in zip(x, out):
         yield from _rows(x_sub, out_sub)
@@ -461,16 +450,9 @@ def split_channels(x: np.ndarray, parts: int) -> list[np.ndarray]:
     return [x[:, i * step:(i + 1) * step] for i in range(parts)]
 
 
-def _same_view(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether equally shaped a and b are the same elements of one buffer."""
-    return (a.strides == b.strides
-            and a.__array_interface__["data"][0] == b.__array_interface__["data"][0])
-
-
 @_hooked
-def concat_channels(xs: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
-    """Channel-axis concatenation into `out` if given, copying only the parts
-    that are not already its channel slices; inverse of split_channels."""
+def concat_channels(xs: list[np.ndarray]) -> np.ndarray:
+    """Channel-axis concatenation; inverse of split_channels."""
     if not xs:
         raise ShapeError("concat of empty list")
     base = xs[0].shape
@@ -478,14 +460,7 @@ def concat_channels(xs: list[np.ndarray], out: np.ndarray | None = None) -> np.n
         check_tensor4(x, "concat input")
         if x.shape[0] != base[0] or x.shape[2:] != base[2:]:
             raise ShapeError(f"concat shape mismatch: {x.shape} vs {base}")
-    out = _out(out, (base[0], sum(x.shape[1] for x in xs), *base[2:]))
-    c0 = 0
-    for x in xs:
-        dst = out[:, c0:c0 + x.shape[1]]
-        if not _same_view(x, dst):
-            np.copyto(dst, x)
-        c0 += x.shape[1]
-    return out
+    return np.ascontiguousarray(np.concatenate(xs, axis=1))
 
 
 @_hooked

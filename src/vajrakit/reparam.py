@@ -69,17 +69,22 @@ def fuse_repvgg(block) -> tuple[np.ndarray, np.ndarray]:
     """Collapse a RepVGGBlock's branches into one 3x3 conv with bias.
 
     Each branch is BN-folded first; the 1x1 branch (and the identity branch,
-    when present) is embedded into a 3x3 kernel, then weights and biases sum.
+    when present) is added into the centre tap of the folded 3x3 kernel in
+    place, then the biases sum. The centre taps sum in the same order as
+    ``w3 + embed_kernel(w1, 3) (+ embed_kernel(wid, 3))``, so the result is
+    bitwise that sum, except that an off-centre ``-0.0`` stays ``-0.0``
+    where adding the padding's ``+0.0`` made it ``+0.0`` (initialized
+    weights never hold one).
     """
-    w3, b3 = fuse_conv_bn(block.spec3, block.w3, None, block.bn3)
+    w, b3 = fuse_conv_bn(block.spec3, block.w3, None, block.bn3)
     w1, b1 = fuse_conv_bn(block.spec1, block.w1, None, block.bn1)
-    w = w3 + embed_kernel(w1, 3)
+    w[:, :, 1, 1] += w1[:, :, 0, 0]
     b = b3 + b1
     if block.bnid is not None:
         spec_id = ConvSpec(block.spec3.c_in, block.spec3.c_out, 1, 1, 0)
         w_id = identity_kernel(spec_id.c_out, spec_id.c_in, 1)
         wid, bid = fuse_conv_bn(spec_id, w_id, None, block.bnid)
-        w = w + embed_kernel(wid, 3)
+        w[:, :, 1, 1] += wid[:, :, 0, 0]
         b = b + bid
     return w, b
 

@@ -383,10 +383,13 @@ def sigmoid(t: np.ndarray) -> np.ndarray:
     return _sigmoid_into(t, np.empty(t.shape, DTYPE))
 
 
-# Elements per band of SiLU: each band's sigmoid goes to one scratch band,
-# then t * sigmoid(t) to the output, so the output may be the input. On
-# 6.2 MB of SiLU input, 64K-element bands ran as fast as the whole array at
-# once (3.53 vs 3.48 ms; 2-vCPU Xeon, numpy 2.4.6).
+# Elements per band of SiLU: h = t * 0.5 goes to the output band (which may
+# be the input; only h is read after), tanh(h) + 1 to one scratch band, then
+# h * (tanh(h) + 1) in place. Since 0.5 * fl(th + 1) = fl(0.5 * th + 0.5),
+# this is bitwise t * sigmoid(t) in four passes instead of five: 10-20% less
+# time than five on 1x16x320x320, 1x64x80x80 and 4x128x40x40. On 6.2 MB of
+# SiLU input, 64K-element bands ran as fast as the whole array at once
+# (3.53 vs 3.48 ms). Both on a 2-vCPU Xeon, numpy 2.4.6.
 SILU_BAND = 1 << 16
 
 
@@ -403,7 +406,7 @@ def _rows(x: np.ndarray, out: np.ndarray):
 @_hooked
 def activation(x: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise silu | sigmoid | identity, into `out` if given (which may
-    be x); silu(t) = t * sigmoid(t), the sigmoid SILU_BAND elements at a time."""
+    be x); silu(t) = t * sigmoid(t), computed SILU_BAND elements at a time."""
     if kind == "identity":
         if out is None or out is x:
             return x
@@ -417,8 +420,10 @@ def activation(x: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.nd
     scratch = np.empty(min(SILU_BAND, x.size), DTYPE)
     for t, y in _rows(x, out):
         for i in range(0, t.size, SILU_BAND):
-            band = t[i:i + SILU_BAND]
-            np.multiply(_sigmoid_into(band, scratch[:band.size]), band, out=y[i:i + SILU_BAND])
+            h = np.multiply(t[i:i + SILU_BAND], DTYPE(0.5), out=y[i:i + SILU_BAND])
+            th = np.tanh(h, out=scratch[:h.size])
+            th += DTYPE(1)
+            h *= th
     return out
 
 

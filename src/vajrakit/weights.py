@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -119,20 +120,78 @@ def _unpack(f, fmt: str) -> tuple:
     return struct.unpack(fmt, data)
 
 
+# Draws per chunk: each chunk is drawn as float64 and cast into its slice of
+# the kernel, so no whole-kernel float64 temporary is made.
+_CHUNK = 1 << 16
+# Fewest draws worth a thread of their own; smaller graphs stay on the caller.
+_MIN_SPAN = 1 << 20
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fill_span(kernels, seed: int, start: int, stop: int) -> None:
+    """Fill draws [start, stop) of the kernels' one sequence, drawing from
+    PCG64(seed) advanced to `start` (one 64-bit step per uniform draw)."""
+    rng = np.random.Generator(np.random.PCG64(seed).advance(start))
+    offset = 0
+    for arr in kernels:
+        bound = 1.0 / np.sqrt(math.prod(arr.shape[1:]))  # 1 / sqrt(fan-in)
+        flat = arr.reshape(-1)
+        lo, hi = max(start - offset, 0), min(stop - offset, flat.size)
+        for i in range(lo, hi, _CHUNK):
+            j = min(i + _CHUNK, hi)
+            flat[i:j] = rng.uniform(-bound, bound, j - i)
+        offset += flat.size
+        if offset >= stop:
+            return
+
+
+def _fill_kernels(kernels, seed: int, parts: int) -> None:
+    """Fill C-contiguous float32 kernels, in order, from one seeded stream
+    cut into `parts` contiguous spans, each on its own thread."""
+    total = sum(arr.size for arr in kernels)
+    cuts = [total * i // parts for i in range(parts + 1)]
+    if parts == 1:
+        _fill_span(kernels, seed, 0, total)
+        return
+    with ThreadPoolExecutor(parts) as pool:  # joins every worker on exit
+        for done in [pool.submit(_fill_span, kernels, seed, a, b) for a, b in zip(cuts, cuts[1:])]:
+            done.result()  # re-raises a worker's error
+
+
 def init_weights(graph, seed: int) -> WeightStore:
     """Deterministic store for a graph: conv kernels drawn fan-in-scaled
     uniform from a seeded generator in parameter-site order; biases zero;
-    batchnorm at identity statistics (gamma 1, beta 0, mean 0, var 1)."""
+    batchnorm at identity statistics (gamma 1, beta 0, mean 0, var 1).
+
+    The kernels' draws, in site order and one per element, form one sequence:
+    the values of ``default_rng(seed)`` drawing each kernel in turn with
+    ``uniform(-bound, bound, size).astype(float32)``. Each kernel is allocated
+    as its final float32 array and filled 64K draws at a time. The sequence
+    is cut into one contiguous span per usable CPU, each of at least 2^20
+    draws, so small graphs stay on the calling thread. Each span is filled
+    on its own thread from ``PCG64(seed)`` advanced to its first draw. A
+    uniform draw is one 64-bit step of the generator and depends on nothing
+    but that step, so the bytes do not depend on the split.
+    """
     from .graph import Model  # local import: graph.py builds on blocks only
 
-    rng = np.random.default_rng(seed)
-    store = WeightStore()
+    names, arrays, kernels = [], [], []
     for name, arr, is_stat in Model(graph).named_arrays():
         if not is_stat and arr.ndim == 4:
-            fan_in = arr.shape[1] * arr.shape[2] * arr.shape[3]
-            bound = 1.0 / np.sqrt(fan_in)
-            arr = rng.uniform(-bound, bound, size=arr.shape).astype(DTYPE)
-            arr.flags.writeable = False
+            arr = np.empty(arr.shape, DTYPE)
+            kernels.append(arr)
+        names.append(name)
+        arrays.append(arr)
+    total = sum(arr.size for arr in kernels)
+    _fill_kernels(kernels, seed, max(1, min(_usable_cpus(), total // _MIN_SPAN)))
+    for arr in kernels:
+        arr.flags.writeable = False  # filled, and held nowhere else: the store adopts it
+    store = WeightStore()
+    for name, arr in zip(names, arrays):
         store.add(name, arr)
     return store
-

@@ -1,6 +1,8 @@
 """Config parsing, scale invariants, weight persistence, graph execution."""
+import math
 import re
 import struct
+import threading
 import tracemalloc
 import weakref
 
@@ -11,6 +13,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from conftest import rand_input
 from test_config_text import valid_config
 from vajrakit import graph as graph_module
+from vajrakit import weights as weights_module
 from vajrakit.cost import graph_cost
 from vajrakit.graph import (
     ConfigError,
@@ -378,7 +381,51 @@ def test_static_shapes_match_runtime_on_random_graphs(text):
                 assert outs[node.id].shape == (1, *static[node.id]), node.id
 
 
+def _kernel_sites(graph):
+    """(shape, fan-in bound) of each conv kernel, in parameter-site order."""
+    return [(arr.shape, 1.0 / np.sqrt(math.prod(arr.shape[1:])))
+            for _, arr, is_stat in Model(graph).named_arrays() if not is_stat and arr.ndim == 4]
+
+
+def _sequential_kernels(graph, seed):
+    """Each kernel drawn whole from one generator, in site order, then cast."""
+    rng = np.random.default_rng(seed)
+    return [rng.uniform(-bound, bound, size=shape).astype(DTYPE) for shape, bound in _kernel_sites(graph)]
+
+
 class TestInitWeights:
+    # preset N, and one block whose kernels are all shorter than one chunk,
+    # so that most spans start inside a kernel
+    SPLIT_GRAPHS = {"N": lambda: load_preset("N")[0],
+                    "one_block": lambda: parse_config("block b type=merudanda_x in=8 out=8 n=1 from=input")[0]}
+
+    @pytest.mark.parametrize("label", sorted(SPLIT_GRAPHS))
+    def test_span_filler_equals_sequential_draws_for_any_split(self, label):
+        graph = self.SPLIT_GRAPHS[label]()
+        want = _sequential_kernels(graph, 5)
+        for parts in (1, 2, 3, 5, 7):
+            kernels = [np.empty(shape, DTYPE) for shape, _ in _kernel_sites(graph)]
+            weights_module._fill_kernels(kernels, 5, parts)
+            for arr, w in zip(kernels, want, strict=True):
+                assert arr.tobytes() == w.tobytes(), parts
+
+    def test_worker_error_propagates_and_no_worker_outlives_init(self, monkeypatch):
+        graph = load_preset("N")[0]  # 2.45M draws: two spans of at least 2^20
+        fillers = []
+
+        def failing(kernels, seed, start, stop):
+            fillers.append(threading.current_thread())
+            raise RuntimeError(f"span at {start} failed")
+
+        monkeypatch.setattr(weights_module, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(weights_module, "_fill_span", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="span at"):
+            init_weights(graph, 0)
+        assert len(fillers) == 2 and threading.main_thread() not in fillers
+        assert not any(t.is_alive() for t in fillers)
+        assert threading.active_count() == before
+
     def test_same_seed_bit_identical(self):
         graph, _ = parse_config("block b type=merudanda_x in=8 out=8 n=1 from=input")
         s1 = init_weights(graph, 7)

@@ -160,6 +160,14 @@ class TestFuseRepVGG:
             blk.bn1 = rand_bn(rng, c)
             if identity:
                 blk.bnid = rand_bn(rng, c)
+            # the in-place centre-tap fold is bitwise the padded-kernel sum
+            w = fuse_repvgg(blk)[0]
+            want = (fuse_conv_bn(blk.spec3, blk.w3, None, blk.bn3)[0]
+                    + embed_kernel(fuse_conv_bn(blk.spec1, blk.w1, None, blk.bn1)[0], 3))
+            if identity:
+                spec_id = ConvSpec(c, c, 1, 1, 0)
+                want = want + embed_kernel(fuse_conv_bn(spec_id, identity_kernel(c, c, 1), None, blk.bnid)[0], 3)
+            assert w.tobytes() == want.tobytes()
             fused = fuse_block(blk)
             x = rand_input(rng, 2, c, 16, 16)
             diff = np.abs(blk.forward(x) - fused.forward(x))

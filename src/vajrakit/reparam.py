@@ -10,6 +10,8 @@ weights.
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,7 +20,7 @@ import numpy as np
 from . import blocks as B
 from .graph import Model, ModelGraph
 from .tensor import DTYPE, BNParams, ConvSpec, ShapeError
-from .weights import WeightStore
+from .weights import WeightStore, run_spans, span_count
 
 
 def fuse_conv_bn(spec: ConvSpec, weights: np.ndarray, bias: np.ndarray | None,
@@ -89,15 +91,25 @@ def fuse_repvgg(block) -> tuple[np.ndarray, np.ndarray]:
     return w, b
 
 
+def _fold_leaf(leaf, out) -> None:
+    """Set the folded arrays of `leaf` on `out`, its twin in ``fuse()``'s
+    structure; ConvAct leaves are their own twins and keep their arrays."""
+    if isinstance(leaf, B.ConvBNAct):
+        out.w, out.b = fuse_conv_bn(leaf.spec, leaf.w, None, leaf.bn)
+    elif isinstance(leaf, B.RepVGGBlock):
+        out.w, out.b = fuse_repvgg(leaf)
+
+
+def _twins(block, fused):
+    """(leaf, twin) pairs of a block and its ``fuse()`` structure."""
+    return [(leaf, out) for (_, leaf), (_, out) in zip(block.leaves(""), fused.leaves(""), strict=True)]
+
+
 def fuse_block(block):
-    """``block.fuse()`` with each folded leaf's arrays set; ConvAct leaves are
-    their own twins and keep their arrays."""
+    """``block.fuse()`` with each leaf's folded arrays set."""
     fused = block.fuse()
-    for (_, leaf), (_, out) in zip(block.leaves(""), fused.leaves(""), strict=True):
-        if isinstance(leaf, B.ConvBNAct):
-            out.w, out.b = fuse_conv_bn(leaf.spec, leaf.w, None, leaf.bn)
-        elif isinstance(leaf, B.RepVGGBlock):
-            out.w, out.b = fuse_repvgg(leaf)
+    for leaf, out in _twins(block, fused):
+        _fold_leaf(leaf, out)
     return fused
 
 
@@ -138,12 +150,28 @@ def reparam_graph(graph, store):
     Returns a (graph, store) pair in which no node carries multi-branch
     RepVGG blocks or standalone batchnorm. Graphs already marked fused pass
     through with bit-identical weights, so the pass is idempotent.
+
+    The leaves of every block, laid end to end by their arrays' sizes, are
+    folded in spans (``weights.run_spans``); each leaf goes to the span
+    holding its middle element. The folded arrays join the store in node
+    order, so the bytes do not depend on the split.
     """
+    blocks = {node_id: blk for node_id, blk in Model(graph).bind(store).blocks.items() if blk is not None}
+    fused = {node_id: blk.fuse() for node_id, blk in blocks.items()}
+    twins = [pair for node_id, blk in blocks.items() for pair in _twins(blk, fused[node_id])]
+    sizes = [sum(arr.size for _, arr, _ in leaf.named_arrays("")) for leaf, _ in twins]
+    starts = list(itertools.accumulate(sizes, initial=0))
+    total = starts.pop()
+    middles = [a + n // 2 for a, n in zip(starts, sizes)]
+
+    def fold(start, stop):  # every leaf holds an element, so its middle is below total
+        for i in range(bisect.bisect_left(middles, start), bisect.bisect_left(middles, stop)):
+            _fold_leaf(*twins[i])
+
+    run_spans(fold, total, span_count(total))
     out = WeightStore()
-    for node_id, blk in Model(graph).bind(store).blocks.items():
-        if blk is None:
-            continue
-        for name, arr, _ in fuse_block(blk).named_arrays(node_id):
+    for node_id, blk in fused.items():
+        for name, arr, _ in blk.named_arrays(node_id):
             arr.flags.writeable = False  # a folded array has no other holder: adopt it
             out.add(name, arr)
     return ModelGraph(graph.nodes, graph.scale, fused=True), out

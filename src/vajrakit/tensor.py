@@ -131,9 +131,17 @@ class BNParams:
     @classmethod
     def identity(cls, c: int, eps: float | None = None) -> "BNParams":
         """gamma 1, beta 0, mean 0, var 1: read-only views of one shared
-        element each, until bind points the fields at real arrays."""
-        ones, zeros = np.ndarray((c,), DTYPE, _ONE, 0, (0,)), zero_view((c,))
-        return cls(ones, zeros, zeros, ones, cls.eps if eps is None else eps)
+        element each, until bind points the fields at real arrays. The
+        constants need none of ``__post_init__``'s conversions or checks
+        but the caller's eps, so they are set without running it."""
+        eps = cls.eps if eps is None else eps
+        if eps < 0:
+            raise ValueError("eps must be >= 0")
+        bn = object.__new__(cls)
+        bn.gamma = bn.var = np.ndarray((c,), DTYPE, _ONE, 0, (0,))
+        bn.beta = bn.mean = zero_view((c,))
+        bn.eps = eps
+        return bn
 
     @property
     def channels(self) -> int:

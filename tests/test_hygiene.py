@@ -1,5 +1,6 @@
-"""Source hygiene: every imported name in the package is used, and no op
-or block writes into an input except through out=."""
+"""Source hygiene: every imported name in the package is used, thread
+pools are built in one place, and no op or block writes into an input
+except through out=."""
 import ast
 from pathlib import Path
 
@@ -33,6 +34,20 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [name for name in _imported_names(tree) if name not in used]
     assert not unused, f"{path.name} imports unused {unused}"
+
+
+def _pool_refs(tree) -> int:
+    return sum((isinstance(n, ast.Name) and n.id == "ThreadPoolExecutor")
+               or (isinstance(n, ast.Attribute) and n.attr == "ThreadPoolExecutor") for n in ast.walk(tree))
+
+
+def test_thread_pools_are_built_only_in_run_spans():
+    # weights.run_spans joins every worker and raises a worker's error in the
+    # caller; a pool built anywhere else would have to restate both
+    trees = {p.name: ast.parse(p.read_text("utf-8")) for p in Path(vajrakit.__file__).parent.rglob("*.py")}
+    helper = next(n for n in trees["weights.py"].body if isinstance(n, ast.FunctionDef) and n.name == "run_spans")
+    assert _pool_refs(helper) == 1
+    assert {name: n for name, tree in trees.items() if (n := _pool_refs(tree))} == {"weights.py": 1}
 
 
 def _read_only(shape, seed=0):

@@ -5,7 +5,9 @@ a WeightFormatError, never another exception. The store is the one owner
 of weight arrays: bound models share them read-only, and building a model
 from config text allocates none."""
 import hashlib
+import os
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -14,6 +16,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from vajrakit import blocks as B
+from vajrakit import reparam as reparam_module
+from vajrakit import tensor as T
+from vajrakit import weights as weights_module
 from vajrakit.cost import graph_cost
 from vajrakit.graph import Model, parse_config
 from vajrakit.presets import SCALES, load_preset, preset_text
@@ -209,6 +214,22 @@ class TestIdentityStatisticsAllocateNothing:
         assert a.gamma.tolist() == a.var.tolist() == [1.0] * 8
         assert a.beta.tolist() == a.mean.tolist() == [0.0] * 8
 
+    def test_identity_skips_post_init_but_given_statistics_are_checked(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("identity statistics re-validated")
+
+        with monkeypatch.context() as m:
+            m.setattr(BNParams, "__post_init__", refuse)
+            bn = BNParams.identity(4, eps=0.0)
+        assert bn.eps == 0.0 and bn.channels == 4 and BNParams.identity(4).eps == 1e-3
+        with pytest.raises(ValueError, match="eps"):
+            BNParams.identity(4, eps=-1e-3)
+        ones, zeros = np.ones(4, DTYPE), np.zeros(4, DTYPE)
+        with pytest.raises(ValueError, match="var"):
+            BNParams(ones, zeros, zeros, -ones)
+        with pytest.raises(ValueError, match="one length"):
+            BNParams(ones, zeros, zeros, np.ones(3, DTYPE))
+
     def test_train_x_model_and_cost(self):
         graph, _ = parse_config(preset_text("X"))
         # what four arrays of their own per batchnorm would hold: 0.94 MB
@@ -240,3 +261,79 @@ class TestFusedBuildAllocatesNoWeights:
         fused = B.MerudandaX(64, 64, 2).fuse()
         for name, arr, _ in fused.named_arrays("m"):
             assert not arr.flags.writeable, name
+
+
+class TestSpans:
+    """Fold and load cut their work into spans (weights.run_spans): the bytes
+    do not depend on the split, a worker's error reaches the caller and no
+    worker outlives the call."""
+
+    @pytest.fixture(scope="class")
+    def train_n(self):
+        graph, _ = load_preset("N")
+        return graph, init_weights(graph, 3)
+
+    def test_fold_and_load_bytes_do_not_depend_on_parts(self, train_n, tmp_path, monkeypatch):
+        graph, store = train_n
+        split = []
+        for module in (reparam_module, weights_module):
+            def spy(work, total, parts, run=module.run_spans):
+                split.append(parts)
+                run(work, total, parts)
+            monkeypatch.setattr(module, "run_spans", spy)
+        monkeypatch.setattr(weights_module, "_MIN_SPAN", 1 << 12)
+        digests, kept = set(), []  # kept alive, so no load can find their bytes in reused memory
+        for parts in (1, 2, 3):
+            monkeypatch.setattr(weights_module, "_usable_cpus", lambda: parts)
+            split.clear()
+            fused = reparam_graph(graph, store)[1]
+            path = tmp_path / f"{parts}.vjw"
+            fused.save(path)
+            loaded = WeightStore.load(path)
+            assert split == [parts, parts]  # fold, then load
+            assert loaded.names() == fused.names()
+            digests.add((_store_sha(fused), _store_sha(loaded), path.read_bytes()))
+            kept.append((fused, loaded))
+        assert len(digests) == 1
+
+    @pytest.mark.parametrize("step", ["fold", "load"])
+    def test_worker_error_propagates_and_no_worker_outlives_the_call(self, step, train_n, tmp_path,
+                                                                    monkeypatch):
+        graph, store = train_n  # N: over 2^21 elements train and fused, so two spans
+        path = tmp_path / "n.vjw"
+        reparam_graph(graph, store)[1].save(path)
+        workers = []
+
+        def failing(*args):
+            workers.append(threading.current_thread())
+            raise RuntimeError("span failed")
+
+        module, name, call = {"fold": (reparam_module, "_fold_leaf", lambda: reparam_graph(graph, store)),
+                              "load": (weights_module, "_read_span", lambda: WeightStore.load(path))}[step]
+        monkeypatch.setattr(weights_module, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(module, name, failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="span failed"):
+            call()
+        assert len(workers) == 2 and threading.main_thread() not in workers
+        assert not any(t.is_alive() for t in workers)
+        assert threading.active_count() == before
+
+    def test_short_reads_are_resumed_and_no_data_is_a_format_error(self, train_n, tmp_path, monkeypatch):
+        graph, store = train_n
+        path = tmp_path / "n.vjw"
+        fused = reparam_graph(graph, store)[1]
+        fused.save(path)
+        preadv = os.preadv
+        monkeypatch.setattr(os, "preadv", lambda fd, bufs, pos: preadv(fd, [bufs[0][:4093]], pos))
+        assert _store_sha(WeightStore.load(path)) == _store_sha(fused)
+        monkeypatch.setattr(os, "preadv", lambda fd, bufs, pos: 0)  # the file shrank after its headers were read
+        with pytest.raises(WeightFormatError, match="truncated"):
+            WeightStore.load(path)
+
+    def test_workers_run_in_the_callers_context(self):
+        seen = []
+        backend = object()
+        with T.override_backend(backend):
+            weights_module.run_spans(lambda a, b: seen.append(T._BACKEND.get()), 3, 3)
+        assert seen == [backend] * 3

@@ -199,6 +199,11 @@ class Composite(Block):
         return out
 
 
+def _check_count(name, n):
+    if n < 0:
+        raise ValueError(f"{name}={n}: a block count cannot be negative")
+
+
 class RepCSP(Composite):
     """Two 1x1 branches joined by elementwise ADD before the final 1x1.
 
@@ -209,6 +214,7 @@ class RepCSP(Composite):
     CHILDREN = (("cv1", "cv1"), ("blocks", "rep"), ("cv2", "cv2"), ("cv3", "cv3"))
 
     def __init__(self, c_in, c_out, n=1, identity=False):
+        _check_count("n", n)
         self.cv1 = ConvBNAct(c_in, c_out, 1)
         self.cv2 = ConvBNAct(c_in, c_out, 1)
         self.blocks = [RepVGGBlock(c_out, c_out, 1, identity) for _ in range(n)]
@@ -335,6 +341,7 @@ class MerudandaBhag15(Composite):
     def __init__(self, c_in, c_out, n=1, inner_kind="merudanda_dw", dw_kernel=3, hidden=None):
         if inner_kind not in _INNER:
             raise ValueError(f"unknown inner kind {inner_kind!r}")
+        _check_count("n", n)
         h = hidden if hidden is not None else c_out // 2
         self.stem = ConvBNAct(c_in, 2 * h, 1)
         self.inner = [_INNER[inner_kind](h, dw_kernel) for _ in range(n)]
@@ -353,8 +360,8 @@ class SPPF(Composite):
     CHILDREN = (("cv1", "cv1"), ("cv2", "cv2"))
 
     def __init__(self, c_in, c_out, k=5):
-        if k % 2 == 0:
-            raise ValueError(f"sppf pool size must be odd, got {k}")
+        if k < 1 or k % 2 == 0:
+            raise ValueError(f"sppf pool size must be odd and positive, got {k}")
         self.k = k
         hidden = c_in // 2
         self.cv1 = ConvBNAct(c_in, hidden, 1)
@@ -432,6 +439,7 @@ class AttentionBhag6(Composite):
     def __init__(self, c_in, c_out, n_blocks=1, heads=None, sppf_k=5):
         if c_in % 2:
             raise ValueError(f"attention aggregation needs an even width, got {c_in}")
+        _check_count("n_blocks", n_blocks)
         half = c_in // 2
         if heads is None:
             heads = max(1, half // 64)

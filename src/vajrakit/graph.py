@@ -12,7 +12,8 @@ constructor argument. The valid keys, ``build_block`` and every default
 (``BlockNode.attr`` reads an omitted key's default off the constructor) come
 from that table. The width and divisibility rules are the constructors' own,
 so ``parse_config`` validates a node by building it. Widths must be positive,
-a key may appear once per line and each header once per config.
+``identity=`` is 0 or 1 as ``fused=`` is, a key may appear once per line and
+each header once per config.
 
 ``from=input`` reads the graph input; only ``concat`` takes more than one
 source. Every referenced id must be defined on an earlier line, which keeps
@@ -241,6 +242,8 @@ def parse_config(text: str):
                 if value not in B.INNER_KINDS:
                     raise ConfigError(f"unknown inner kind {value!r}", lineno)
                 attrs[key] = value
+            elif key == "identity" and value not in ("0", "1"):
+                raise ConfigError(f"identity= wants 0 or 1, got {value!r}", lineno)
             elif key in _KEYS:
                 try:
                     attrs[key] = int(value)

@@ -10,8 +10,6 @@ weights.
 """
 from __future__ import annotations
 
-import bisect
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,7 +18,7 @@ import numpy as np
 from . import blocks as B
 from .graph import Model, ModelGraph
 from .tensor import DTYPE, BNParams, ConvSpec, ShapeError
-from .weights import WeightStore, run_spans, span_count
+from .weights import WeightStore, run_spans
 
 
 def fuse_conv_bn(spec: ConvSpec, weights: np.ndarray, bias: np.ndarray | None,
@@ -151,24 +149,20 @@ def reparam_graph(graph, store):
     RepVGG blocks or standalone batchnorm. Graphs already marked fused pass
     through with bit-identical weights, so the pass is idempotent.
 
-    The leaves of every block, laid end to end by their arrays' sizes, are
-    folded in spans (``weights.run_spans``); each leaf goes to the span
-    holding its middle element. The folded arrays join the store in node
-    order, so the bytes do not depend on the split.
+    The leaves of every block are folded in runs (``weights.run_spans``,
+    weighted by each leaf's array sizes), each leaf whole in the run holding
+    its middle element. The folded arrays join the store in node order, so
+    the bytes do not depend on the split.
     """
     blocks = {node_id: blk for node_id, blk in Model(graph).bind(store).blocks.items() if blk is not None}
     fused = {node_id: blk.fuse() for node_id, blk in blocks.items()}
     twins = [pair for node_id, blk in blocks.items() for pair in _twins(blk, fused[node_id])]
-    sizes = [sum(arr.size for _, arr, _ in leaf.named_arrays("")) for leaf, _ in twins]
-    starts = list(itertools.accumulate(sizes, initial=0))
-    total = starts.pop()
-    middles = [a + n // 2 for a, n in zip(starts, sizes)]
 
-    def fold(start, stop):  # every leaf holds an element, so its middle is below total
-        for i in range(bisect.bisect_left(middles, start), bisect.bisect_left(middles, stop)):
-            _fold_leaf(*twins[i])
+    def fold(i, j):
+        for leaf, out in twins[i:j]:
+            _fold_leaf(leaf, out)
 
-    run_spans(fold, total, span_count(total))
+    run_spans(fold, [sum(arr.size for _, arr, _ in leaf.named_arrays("")) for leaf, _ in twins])
     out = WeightStore()
     for node_id, blk in fused.items():
         for name, arr, _ in blk.named_arrays(node_id):

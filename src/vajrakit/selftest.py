@@ -19,7 +19,7 @@ from .graph import Model, parse_config
 from .presets import SCALES, load_preset
 from .reparam import fuse_block, reparam_graph, verify_equivalence
 from .tensor import DTYPE, BNParams, ConvSpec, conv2d, conv_out_hw, pool2d, softmax_lastdim
-from .weights import WeightStore, _fill_kernels, init_weights
+from .weights import WeightStore, _fill_span, init_weights
 
 
 def rand_bn(rng, c) -> BNParams:
@@ -166,12 +166,14 @@ block c type=adown in=8 out=16 from=b
 """
     graph, _ = parse_config(cfg)
     store = init_weights(graph, 42)
-    # init's draws, whole and split into three spans, equal each kernel drawn
-    # in turn from one generator; a numpy whose Generator draws otherwise fails
+    # init's draws, whole and cut into the runs [0, 1), [1, 3) and [3, n) of
+    # kernels, equal each kernel drawn in turn from one generator; a numpy
+    # whose Generator draws otherwise fails
     sites = [(name, arr.shape, 1.0 / np.sqrt(arr[0].size)) for name, arr in store.items() if arr.ndim == 4]
     rng = np.random.default_rng(42)
     split = [np.empty(shape, DTYPE) for _, shape, _ in sites]
-    _fill_kernels(split, 42, 3)
+    for i, j in ((0, 1), (1, 3), (3, len(split))):
+        _fill_span(split, 42, i, j)
     for (name, shape, bound), arr in zip(sites, split):
         want = rng.uniform(-bound, bound, shape).astype(DTYPE).tobytes()
         _check(store[name].tobytes() == want == arr.tobytes(), f"init draws differ from sequential at {name}")

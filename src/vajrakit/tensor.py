@@ -129,18 +129,15 @@ class BNParams:
         # enforced wherever the denominator is actually formed.
 
     @classmethod
-    def identity(cls, c: int, eps: float | None = None) -> "BNParams":
-        """gamma 1, beta 0, mean 0, var 1: read-only views of one shared
-        element each, until bind points the fields at real arrays. The
-        constants need none of ``__post_init__``'s conversions or checks
-        but the caller's eps, so they are set without running it."""
-        eps = cls.eps if eps is None else eps
-        if eps < 0:
-            raise ValueError("eps must be >= 0")
+    def identity(cls, c: int) -> "BNParams":
+        """gamma 1, beta 0, mean 0, var 1 and the default eps: read-only views
+        of one shared element each, until bind points the fields at real
+        arrays. The constants need none of ``__post_init__``'s conversions
+        or checks, so they are set without running it."""
         bn = object.__new__(cls)
         bn.gamma = bn.var = np.ndarray((c,), DTYPE, _ONE, 0, (0,))
         bn.beta = bn.mean = zero_view((c,))
-        bn.eps = eps
+        bn.eps = cls.eps
         return bn
 
     @property

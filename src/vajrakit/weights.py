@@ -13,18 +13,21 @@ weights. ``save`` writes each array's own buffer, copying none. ``load``
 reads and checks every header first, then reads each tensor once, straight
 into the array it keeps.
 
-Bulk work runs in spans (``run_spans``): a job of n elements laid end to end
-is cut into one contiguous span per usable CPU, each of at least 2^20
-elements, so small jobs stay on the calling thread. ``init_weights`` cuts
-its kernels' draws, ``reparam_graph`` the leaves of every block (by their
-arrays' sizes) and ``load`` the tensor data of the file, read by
-``os.preadv`` on its one descriptor. Each span's result depends on nothing
-but the span, so the bytes do not depend on the split.
+Bulk work runs in spans (``run_spans``), whole arrays at a time: a list of
+arrays laid end to end is cut into one contiguous run per usable CPU, each
+of at least 2^20 elements, and each array goes whole to the run holding its
+middle element, so small jobs stay on the calling thread. ``init_weights``
+runs its kernels' draws this way, ``reparam_graph`` the leaves of every
+block (by their arrays' sizes) and ``load`` the tensors of the file, read by
+``os.preadv`` on its one descriptor. Each run's result depends on nothing
+but its arrays, so the bytes do not depend on the split.
 """
 from __future__ import annotations
 
+import bisect
 import contextvars
 import functools
+import itertools
 import math
 import os
 import struct
@@ -93,8 +96,8 @@ class WeightStore:
     @classmethod
     def load(cls, path) -> "WeightStore":
         """Read VJW1. Every header is read and checked before any tensor
-        data is read; the data is then read in spans, straight into the
-        arrays the store keeps."""
+        data is read; each tensor is then read whole, in spans, straight
+        into the array the store keeps."""
         arrays, positions = {}, []
         with open(path, "rb") as f:
             magic = f.read(4)
@@ -124,9 +127,9 @@ class WeightStore:
                 f.seek(nbytes, os.SEEK_CUR)
             if f.tell() != size:
                 raise WeightFormatError(f"{size - f.tell()} trailing bytes after last tensor")
-            flats = [arr.reshape(-1) for arr in arrays.values()]
-            total = sum(flat.size for flat in flats)
-            run_spans(functools.partial(_read_span, f.fileno(), flats, positions), total, span_count(total))
+            tensors = list(arrays.values())
+            run_spans(functools.partial(_read_span, f.fileno(), tensors, positions),
+                      [arr.size for arr in tensors])
         store = cls()
         for name, arr in arrays.items():
             arr.flags.writeable = False  # filled, and held nowhere else: the store adopts it
@@ -155,46 +158,34 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def span_count(total: int) -> int:
-    """Spans for a job of `total` elements: one per usable CPU, each at
-    least 2^20 elements, and at least one."""
-    return max(1, min(_usable_cpus(), total // _MIN_SPAN))
-
-
-def run_spans(work, total: int, parts: int) -> None:
-    """Call ``work(start, stop)`` on each of `parts` contiguous spans that cut
-    [0, total). One part runs on the calling thread. More run one thread
-    each, in a copy of the caller's context (so an ``override_backend`` set
-    by the caller holds there too); every worker is joined before return,
-    and a worker's error is raised in the caller."""
-    cuts = [total * i // parts for i in range(parts + 1)]
-    if parts == 1:
-        work(0, total)
+def run_spans(work, sizes) -> None:
+    """Call ``work(i, j)`` on contiguous runs [i, j) of items whose element
+    counts are `sizes`, laid end to end: one run per usable CPU, each of at
+    least 2^20 elements, with every item whole in the run that holds its
+    middle element. A single run goes on the calling thread. More run one
+    thread each, in a copy of the caller's context (so an
+    ``override_backend`` set by the caller holds there too); every worker is
+    joined before return, and a worker's error is raised in the caller."""
+    total = sum(sizes)
+    parts = max(1, min(_usable_cpus(), total // _MIN_SPAN))
+    starts = itertools.accumulate(sizes, initial=0)
+    middles = [a + n // 2 for a, n in zip(starts, sizes)]
+    cuts = [bisect.bisect_left(middles, total * p // parts) for p in range(parts)] + [len(sizes)]
+    runs = [(i, j) for i, j in zip(cuts, cuts[1:]) if i < j]
+    if len(runs) < 2:
+        work(0, len(sizes))
         return
-    with ThreadPoolExecutor(parts) as pool:  # joins every worker on exit
-        spans = [pool.submit(contextvars.copy_context().run, work, a, b) for a, b in zip(cuts, cuts[1:])]
-        for done in spans:
+    with ThreadPoolExecutor(len(runs)) as pool:  # joins every worker on exit
+        futures = [pool.submit(contextvars.copy_context().run, work, i, j) for i, j in runs]
+        for done in futures:
             done.result()  # re-raises a worker's error
 
 
-def _pieces(arrays, start: int, stop: int):
-    """(index, lo, hi) of each array's nonempty share [lo, hi) of elements
-    [start, stop) of the arrays laid end to end."""
-    offset = 0
-    for i, arr in enumerate(arrays):
-        lo, hi = max(start - offset, 0), min(stop - offset, arr.size)
-        if lo < hi:
-            yield i, lo, hi
-        offset += arr.size
-        if offset >= stop:
-            return
-
-
-def _read_span(fd: int, flats, positions, start: int, stop: int) -> None:
-    """Fill elements [start, stop) of the flat float32 arrays laid end to end,
-    the i-th read from file offset positions[i], by positional reads on fd."""
-    for i, lo, hi in _pieces(flats, start, stop):
-        buf, pos = flats[i][lo:hi].view(np.uint8), positions[i] + 4 * lo
+def _read_span(fd: int, arrays, positions, i: int, j: int) -> None:
+    """Fill arrays[i:j] whole, each from its file offset in `positions`, by
+    positional reads on fd."""
+    for arr, pos in zip(arrays[i:j], positions[i:j]):
+        buf = arr.reshape(-1).view(np.uint8)
         while buf.size:
             n = os.preadv(fd, [buf], pos)
             if n == 0:
@@ -202,31 +193,24 @@ def _read_span(fd: int, flats, positions, start: int, stop: int) -> None:
             buf, pos = buf[n:], pos + n
 
 
-def _fill_span(kernels, seed: int, start: int, stop: int) -> None:
-    """Fill draws [start, stop) of the kernels' one sequence, drawing from
-    PCG64(seed) advanced to `start` (one 64-bit step per uniform draw).
+def _fill_span(kernels, seed: int, i: int, j: int) -> None:
+    """Fill kernels[i:j] whole with their draws of the kernels' one sequence,
+    from PCG64(seed) advanced to kernel i's first draw (one 64-bit step per
+    uniform draw).
 
     A chunk of ``random()`` draws u is scaled in place to u * 2b - b. That is
     bitwise ``uniform(-b, b)``, which computes -b + (b - (-b)) * u, since
     doubling b is exact and IEEE addition commutes."""
-    rng = np.random.Generator(np.random.PCG64(seed).advance(start))
+    rng = np.random.Generator(np.random.PCG64(seed).advance(sum(arr.size for arr in kernels[:i])))
     chunk = np.empty(_CHUNK)
-    for k, lo, hi in _pieces(kernels, start, stop):
-        arr = kernels[k]
+    for arr in kernels[i:j]:
         bound = 1.0 / np.sqrt(math.prod(arr.shape[1:]))  # 1 / sqrt(fan-in)
         flat = arr.reshape(-1)
-        for i in range(lo, hi, _CHUNK):
-            j = min(i + _CHUNK, hi)
-            draws = rng.random(out=chunk[:j - i])
+        for lo in range(0, flat.size, _CHUNK):
+            draws = rng.random(out=chunk[:min(_CHUNK, flat.size - lo)])
             draws *= 2 * bound
             draws -= bound
-            flat[i:j] = draws
-
-
-def _fill_kernels(kernels, seed: int, parts: int) -> None:
-    """Fill C-contiguous float32 kernels, in order, from one seeded stream
-    cut into `parts` contiguous spans, each on its own thread."""
-    run_spans(functools.partial(_fill_span, kernels, seed), sum(arr.size for arr in kernels), parts)
+            flat[lo:lo + draws.size] = draws
 
 
 def init_weights(graph, seed: int) -> WeightStore:
@@ -237,12 +221,12 @@ def init_weights(graph, seed: int) -> WeightStore:
     The kernels' draws, in site order and one per element, form one sequence:
     the values of ``default_rng(seed)`` drawing each kernel in turn with
     ``uniform(-bound, bound, size).astype(float32)``. Each kernel is allocated
-    as its final float32 array and filled 64K draws at a time. The sequence
-    is cut into one contiguous span per usable CPU, each of at least 2^20
-    draws, so small graphs stay on the calling thread. Each span is filled
-    on its own thread from ``PCG64(seed)`` advanced to its first draw. A
-    uniform draw is one 64-bit step of the generator and depends on nothing
-    but that step, so the bytes do not depend on the split.
+    as its final float32 array and filled 64K draws at a time. The kernels
+    are cut into runs (``run_spans``), each kernel whole in one run, and each
+    run is filled on its own thread from ``PCG64(seed)`` advanced to its
+    first kernel's first draw. A uniform draw is one 64-bit step of the
+    generator and depends on nothing but that step, so the bytes do not
+    depend on the split.
     """
     from .graph import Model  # local import: graph.py builds on blocks only
 
@@ -253,7 +237,7 @@ def init_weights(graph, seed: int) -> WeightStore:
             kernels.append(arr)
         names.append(name)
         arrays.append(arr)
-    _fill_kernels(kernels, seed, span_count(sum(arr.size for arr in kernels)))
+    run_spans(functools.partial(_fill_span, kernels, seed), [arr.size for arr in kernels])
     for arr in kernels:
         arr.flags.writeable = False  # filled, and held nowhere else: the store adopts it
     store = WeightStore()

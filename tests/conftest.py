@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vajrakit.selftest import rand_bn  # noqa: F401  (re-exported to the test modules)
-from vajrakit.tensor import DTYPE
+from vajrakit.tensor import DTYPE, BNParams
 
 U = 2.0 ** -24  # float32 unit roundoff
 
@@ -41,6 +41,12 @@ def randomize(block, rng, scale=0.3, with_bn=False):
         if new is not None:
             setattr(owner, attr, new.astype(DTYPE))
     return block
+
+
+def identity_bn(c: int) -> BNParams:
+    """Identity statistics with eps 0: batchnorm is then exactly the identity."""
+    ones, zeros = np.ones(c, DTYPE), np.zeros(c, DTYPE)
+    return BNParams(ones, zeros, zeros, ones, eps=0.0)
 
 
 def rand_input(rng, n, c, h, w):

@@ -156,6 +156,29 @@ class TestRejectAtParse:
             parse_config(f"fused={value}\nblock a type=sppf in=8 out=8 from=input")
         assert e.value.line == 1
 
+    @pytest.mark.parametrize("line, match", [
+        pytest.param("block a type=sppf in=8 out=8 k=-1 from=input", "pool size", id="sppf k=-1"),
+        pytest.param("block a type=attention_bhag6 in=8 out=8 k=-1 from=input", "pool size",
+                     id="attention_bhag6 k=-1"),
+        pytest.param("block a type=merudanda_x in=8 out=8 n=-1 from=input", "count cannot be negative",
+                     id="merudanda_x n=-1"),
+        pytest.param("block a type=merudanda_bhag15 in=8 out=8 n=-2 from=input", "count cannot be negative",
+                     id="merudanda_bhag15 n=-2"),
+        pytest.param("block a type=attention_bhag6 in=8 out=8 nblocks=-1 from=input", "count cannot be negative",
+                     id="attention_bhag6 nblocks=-1"),
+        *(pytest.param(f"block a type=merudanda_x in=8 out=8 identity={v} from=input", "identity= wants 0 or 1",
+                       id=f"identity={v}") for v in ("5", "-1", "01", "true")),
+    ])
+    def test_values_that_used_to_run(self, line, match):
+        with pytest.raises(ConfigError, match=match) as e:
+            parse_config(f"# values\n{line}")
+        assert e.value.line == 2
+
+    @pytest.mark.parametrize("attrs", ["type=merudanda_x identity=0 n=0", "type=merudanda_x identity=1",
+                                       "type=attention_bhag6 nblocks=0 k=1"])
+    def test_boundary_values_parse(self, attrs):
+        parse_config(f"block a {attrs} in=8 out=8 from=input")
+
     def test_fused_0_parses_unfused(self):
         graph, _ = parse_config("fused=0\nblock a type=sppf in=8 out=8 from=input")
         assert not graph.fused
@@ -394,20 +417,30 @@ def _sequential_kernels(graph, seed):
 
 
 class TestInitWeights:
-    # preset N, and one block whose kernels are all shorter than one chunk,
-    # so that most spans start inside a kernel
+    # preset N, and one block whose kernels are all shorter than one chunk
     SPLIT_GRAPHS = {"N": lambda: load_preset("N")[0],
                     "one_block": lambda: parse_config("block b type=merudanda_x in=8 out=8 n=1 from=input")[0]}
 
     @pytest.mark.parametrize("label", sorted(SPLIT_GRAPHS))
-    def test_span_filler_equals_sequential_draws_for_any_split(self, label):
+    def test_span_filler_equals_sequential_draws_for_any_split(self, label, monkeypatch):
         graph = self.SPLIT_GRAPHS[label]()
         want = _sequential_kernels(graph, 5)
+        n = len(want)
         for parts in (1, 2, 3, 5, 7):
             kernels = [np.empty(shape, DTYPE) for shape, _ in _kernel_sites(graph)]
-            weights_module._fill_kernels(kernels, 5, parts)
+            cuts = [n * p // parts for p in range(parts + 1)]
+            for i, j in reversed(list(zip(cuts, cuts[1:]))):  # last run first: each starts from its own advance
+                weights_module._fill_span(kernels, 5, i, j)
             for arr, w in zip(kernels, want, strict=True):
                 assert arr.tobytes() == w.tobytes(), parts
+        # and through init_weights, its runs forced by the usable CPUs
+        monkeypatch.setattr(weights_module, "_MIN_SPAN", 1 << 6)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(weights_module, "_usable_cpus", lambda: cpus)
+            store = init_weights(graph, 5)
+            got = [arr for _, arr in store.items() if arr.ndim == 4]
+            for arr, w in zip(got, want, strict=True):
+                assert arr.tobytes() == w.tobytes(), cpus
 
     def test_worker_error_propagates_and_no_worker_outlives_init(self, monkeypatch):
         graph = load_preset("N")[0]  # 2.45M draws: two spans of at least 2^20

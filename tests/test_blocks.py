@@ -2,13 +2,12 @@
 import numpy as np
 import pytest
 
-from conftest import rand_bn, rand_input, randomize
+from conftest import identity_bn, rand_bn, rand_input, randomize
 from vajrakit import blocks as B
 from vajrakit import oracle
 from vajrakit.reparam import identity_kernel
 from vajrakit.tensor import (
     DTYPE,
-    BNParams,
     activation,
     concat_channels,
     conv2d,
@@ -20,7 +19,7 @@ from vajrakit.tensor import (
 class TestRepVGGBlock:
     def test_constructed_identity_passes_activation_only(self, rng):
         blk = B.RepVGGBlock(8, 8)
-        blk.bn3 = BNParams.identity(8, eps=0.0)
+        blk.bn3 = identity_bn(8)
         blk.w3 = identity_kernel(8, 8, 3)
         x = rand_input(rng, 2, 8, 6, 6)
         assert np.array_equal(blk.forward(x), activation(x, "silu"))
@@ -336,7 +335,7 @@ class TestADown:
 
     def test_constant_input_all_ones_kernel_interior(self):
         blk = B.ADown(2, 2)
-        blk.cv1.bn = blk.cv2.bn = BNParams.identity(1, eps=0.0)
+        blk.cv1.bn = blk.cv2.bn = identity_bn(1)
         blk.cv1.w = np.ones(blk.cv1.spec.weight_shape, DTYPE)
         c = DTYPE(1.5)
         x = np.full((1, 2, 32, 32), c, DTYPE)

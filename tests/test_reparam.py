@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from conftest import U, gamma, rand_bn, rand_input, randomize
+from conftest import U, gamma, identity_bn, rand_bn, rand_input, randomize
 from vajrakit import blocks as B
 from vajrakit.cost import block_tally, conv_cost
 from vajrakit.graph import Model, parse_config
@@ -34,7 +34,7 @@ class TestFuseConvBN:
         spec = ConvSpec(4, 6, 3, 1, 1)
         w = rng.standard_normal(spec.weight_shape).astype(DTYPE)
         b = rng.standard_normal(6).astype(DTYPE)
-        fused_w, fused_b = fuse_conv_bn(spec, w, b, BNParams.identity(6, eps=0.0))
+        fused_w, fused_b = fuse_conv_bn(spec, w, b, identity_bn(6))
         assert np.array_equal(fused_w, w)
         assert np.array_equal(fused_b, b)
         assert B.ConvBNAct(4, 6, 3).fuse().spec.has_bias

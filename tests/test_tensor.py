@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import U, gamma, rand_bn, rand_input
+from conftest import U, gamma, identity_bn, rand_bn, rand_input
 from vajrakit import oracle, tensor
 from vajrakit.tensor import (
     DTYPE,
@@ -44,6 +44,15 @@ def _traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _assert_within_conv_bound(fast, ref, x, spec, w, b=None):
+    """|fast - ref| <= gamma_{K+3} * (sum|w||x| + |b|) per output element,
+    K = k*k*c_in/groups; TestConv2dDerivedBound derives it (the bias adds one
+    rounding, within the three spare ones)."""
+    acc = oracle.conv2d_naive(np.abs(x), spec, np.abs(w), None if b is None else np.abs(b))
+    bound = gamma(spec.k * spec.k * (spec.c_in // spec.groups) + 3) * acc.astype(np.float64) / (1.0 - U)
+    assert np.all(np.abs(fast.astype(np.float64) - ref) <= bound), spec
 
 
 class TestConv2d:
@@ -88,12 +97,15 @@ class TestConv2d:
             ref = oracle.conv2d_naive(x, spec, w, b)
             assert fast.shape == ref.shape
             assert np.abs(fast - ref).max() <= 1e-5, spec
+            _assert_within_conv_bound(fast, ref, x, spec, w, b)
 
     def test_depthwise_agrees_with_loop_nest(self, rng):
         spec = ConvSpec(6, 6, 3, 1, 1, groups=6)
         x = rand_input(rng, 1, 6, 8, 8)
         w = rng.standard_normal(spec.weight_shape).astype(DTYPE)
-        assert np.abs(conv2d(x, spec, w) - oracle.conv2d_naive(x, spec, w)).max() <= 1e-5
+        fast, ref = conv2d(x, spec, w), oracle.conv2d_naive(x, spec, w)
+        assert np.abs(fast - ref).max() <= 1e-5
+        _assert_within_conv_bound(fast, ref, x, spec, w)
 
     def test_linearity(self, rng):
         spec = ConvSpec(4, 6, 3, 1, 1)
@@ -146,12 +158,10 @@ class TestConv2dDerivedBound:
     def _check(rng, spec, h, w_):
         x = rand_input(rng, 2, spec.c_in, h, w_)
         w = rng.standard_normal(spec.weight_shape).astype(DTYPE)
-        ref = oracle.conv2d_naive(x, spec, w).astype(np.float64)
-        acc = oracle.conv2d_naive(np.abs(x), spec, np.abs(w)).astype(np.float64) / (1.0 - U)
-        k = spec.k * spec.k * (spec.c_in // spec.groups)
+        ref = oracle.conv2d_naive(x, spec, w)
         fast = conv2d(x, spec, w)
         assert fast.shape == ref.shape
-        assert np.all(np.abs(fast - ref) <= gamma(k + 3) * acc), spec
+        _assert_within_conv_bound(fast, ref, x, spec, w)
 
     @pytest.mark.parametrize("k", [3, 5, 7])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -316,7 +326,7 @@ class TestPool2d:
 class TestBatchNorm:
     def test_identity_statistics(self, rng):
         x = rand_input(rng, 2, 4, 3, 3)
-        bn = BNParams.identity(4, eps=0.0)
+        bn = identity_bn(4)
         assert np.array_equal(batchnorm_infer(x, bn), x)
 
     def test_zero_gain(self, rng):

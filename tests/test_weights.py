@@ -7,14 +7,17 @@ from config text allocates none."""
 import hashlib
 import os
 import struct
+import tempfile
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from test_reparam import SMALL_CFG
 from vajrakit import blocks as B
 from vajrakit import reparam as reparam_module
 from vajrakit import tensor as T
@@ -164,6 +167,18 @@ class TestOwnership:
         assert _store_sha(store) == before
 
 
+def _compile_digests(graph):
+    """Digests of the init, fused and reloaded stores and the VJW1 bytes."""
+    store = init_weights(graph, 9)
+    fused = reparam_graph(graph, store)[1]
+    with tempfile.TemporaryDirectory() as td:
+        path = Path(td) / "w.vjw"
+        fused.save(path)
+        raw = hashlib.sha256(path.read_bytes()).hexdigest()
+        loaded = WeightStore.load(path)
+    return _store_sha(store), _store_sha(fused), raw, _store_sha(loaded)
+
+
 def _store_sha(store) -> str:
     h = hashlib.sha256()
     for name, arr in store.items():
@@ -220,10 +235,8 @@ class TestIdentityStatisticsAllocateNothing:
 
         with monkeypatch.context() as m:
             m.setattr(BNParams, "__post_init__", refuse)
-            bn = BNParams.identity(4, eps=0.0)
-        assert bn.eps == 0.0 and bn.channels == 4 and BNParams.identity(4).eps == 1e-3
-        with pytest.raises(ValueError, match="eps"):
-            BNParams.identity(4, eps=-1e-3)
+            bn = BNParams.identity(4)
+        assert bn.eps == 1e-3 and bn.channels == 4
         ones, zeros = np.ones(4, DTYPE), np.zeros(4, DTYPE)
         with pytest.raises(ValueError, match="var"):
             BNParams(ones, zeros, zeros, -ones)
@@ -264,7 +277,7 @@ class TestFusedBuildAllocatesNoWeights:
 
 
 class TestSpans:
-    """Fold and load cut their work into spans (weights.run_spans): the bytes
+    """Fold and load cut their arrays into runs (weights.run_spans): the bytes
     do not depend on the split, a worker's error reaches the caller and no
     worker outlives the call."""
 
@@ -273,24 +286,32 @@ class TestSpans:
         graph, _ = load_preset("N")
         return graph, init_weights(graph, 3)
 
+    @pytest.fixture(scope="class")
+    def one_span(self):
+        graph = parse_config(SMALL_CFG)[0]  # far under 2^20 elements: one run on the caller
+        return graph, _compile_digests(graph)
+
     def test_fold_and_load_bytes_do_not_depend_on_parts(self, train_n, tmp_path, monkeypatch):
         graph, store = train_n
         split = []
         for module in (reparam_module, weights_module):
-            def spy(work, total, parts, run=module.run_spans):
-                split.append(parts)
-                run(work, total, parts)
+            def spy(work, sizes, run=module.run_spans):
+                runs = []
+                run(lambda i, j: (runs.append((i, j)), work(i, j)), sizes)
+                cuts = [0] + [j for _, j in sorted(runs)]
+                assert sorted(runs) == list(zip(cuts, cuts[1:])) and cuts[-1] == len(sizes)  # every item in one run
+                split.append(len(runs))
             monkeypatch.setattr(module, "run_spans", spy)
         monkeypatch.setattr(weights_module, "_MIN_SPAN", 1 << 12)
         digests, kept = set(), []  # kept alive, so no load can find their bytes in reused memory
-        for parts in (1, 2, 3):
-            monkeypatch.setattr(weights_module, "_usable_cpus", lambda: parts)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(weights_module, "_usable_cpus", lambda: cpus)
             split.clear()
             fused = reparam_graph(graph, store)[1]
-            path = tmp_path / f"{parts}.vjw"
+            path = tmp_path / f"{cpus}.vjw"
             fused.save(path)
             loaded = WeightStore.load(path)
-            assert split == [parts, parts]  # fold, then load
+            assert split == [cpus, cpus]  # fold, then load
             assert loaded.names() == fused.names()
             digests.add((_store_sha(fused), _store_sha(loaded), path.read_bytes()))
             kept.append((fused, loaded))
@@ -331,9 +352,49 @@ class TestSpans:
         with pytest.raises(WeightFormatError, match="truncated"):
             WeightStore.load(path)
 
-    def test_workers_run_in_the_callers_context(self):
-        seen = []
+    def test_workers_run_in_the_callers_context(self, monkeypatch):
+        monkeypatch.setattr(weights_module, "_MIN_SPAN", 1)
+        monkeypatch.setattr(weights_module, "_usable_cpus", lambda: 3)
+        seen, threads = [], []
         backend = object()
+
+        def record(i, j):
+            seen.append((i, j, T._BACKEND.get()))
+            threads.append(threading.current_thread())
+
         with T.override_backend(backend):
-            weights_module.run_spans(lambda a, b: seen.append(T._BACKEND.get()), 3, 3)
-        assert seen == [backend] * 3
+            weights_module.run_spans(record, [1, 1, 1])
+        assert sorted(seen) == [(0, 1, backend), (1, 2, backend), (2, 3, backend)]
+        assert threading.main_thread() not in threads
+
+    @pytest.mark.parametrize("sizes, cpus, want", [
+        ([2, 6], 2, [(0, 1), (1, 2)]),  # middles 1 and 5 either side of the cut at 4
+        ([1, 1, 6], 2, [(0, 2), (2, 3)]),
+        ([10, 1, 1], 3, [(0, 1), (1, 3)]),  # no middle between the cuts at 4 and 8: two runs
+        ([1, 1], 2, [(0, 2)]),  # under two spans' worth of elements: one run, on the caller
+    ])
+    def test_each_item_runs_whole_in_the_run_holding_its_middle(self, sizes, cpus, want, monkeypatch):
+        monkeypatch.setattr(weights_module, "_MIN_SPAN", 2)
+        monkeypatch.setattr(weights_module, "_usable_cpus", lambda: cpus)
+        seen = []
+        weights_module.run_spans(lambda i, j: seen.append((i, j, threading.current_thread())), sizes)
+        assert sorted((i, j) for i, j, _ in seen) == want
+        assert any(t is threading.main_thread() for *_, t in seen) == (len(want) == 1)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_init_fold_and_load_bytes_do_not_depend_on_array_boundary_cuts(self, one_span, data):
+        # each step's runs, cut at random item boundaries, are run in a random
+        # order on the calling thread; every cut gives the one-span bytes
+        graph, want = one_span
+
+        def cut_runs(work, sizes):
+            cuts = sorted(data.draw(st.lists(st.integers(0, len(sizes)), max_size=4)))
+            runs = list(zip([0, *cuts], [*cuts, len(sizes)]))
+            for i, j in data.draw(st.permutations(runs)):
+                work(i, j)
+
+        with pytest.MonkeyPatch.context() as m:
+            for module in (reparam_module, weights_module):
+                m.setattr(module, "run_spans", cut_runs)
+            assert _compile_digests(graph) == want

@@ -31,7 +31,12 @@ cost.py reads shapes and costs off a forward pass over zero views.
 Forward never writes into its input: it passes ``out=`` (tensor.py's
 ownership rule) only an array an op returned to it in the same forward, so
 batchnorm, branch adds and activations run in the buffer of the conv output
-they follow, and residual adds write into the branch output.
+they follow, and residual adds write into the branch output. A block drops
+its input after its last reader: ``MerudandaX`` and ``MerudandaBhag15`` after
+``stem``, ``SPPF`` after ``cv1``, ``AttentionBhag6`` after ``sppf`` and
+``ADown`` after its avg pool, so a caller that hands the input over (as
+``Model.walk`` does) frees it before the block's later children run. Blocks
+with a residual add keep their input, which the add reads last.
 """
 from __future__ import annotations
 
@@ -250,6 +255,7 @@ class MerudandaX(Composite):
 
     def forward(self, x):
         a, b = split_channels(self.stem.forward(x), 2)
+        del x
         c = self.conv1.forward(self.csp1.forward(b))
         d = self.conv2.forward(self.csp2.forward(c))
         cat = concat_channels([a, b, c, d])
@@ -349,6 +355,7 @@ class MerudandaBhag15(Composite):
 
     def forward(self, x):
         parts = list(split_channels(self.stem.forward(x), 2))
+        del x
         for blk in self.inner:
             parts.append(blk.forward(parts[-1]))
         return self.final.forward(concat_channels(parts))
@@ -369,6 +376,7 @@ class SPPF(Composite):
 
     def forward(self, x):
         ys = [self.cv1.forward(x)]
+        del x
         for _ in range(3):
             ys.append(pool2d(ys[-1], "max", self.k, 1, self.k // 2))
         return self.cv2.forward(concat_channels(ys))
@@ -450,8 +458,10 @@ class AttentionBhag6(Composite):
         self.cv2 = ConvBNAct(2 * half, c_out, 1)
 
     def forward(self, x):
-        y = self.cv1.forward(self.sppf.forward(x))
-        a, b = split_channels(y, 2)
+        y = self.sppf.forward(x)
+        del x
+        a, b = split_channels(self.cv1.forward(y), 2)
+        del y
         for blk in self.blocks:
             b = blk.forward(b)
         return self.cv2.forward(concat_channels([a, b]))
@@ -478,8 +488,8 @@ class ADown(Composite):
         n, c, h, w = x.shape
         if h % 2 or w % 2:
             raise ShapeError(f"adown needs even spatial dims, got {h}x{w}")
-        y = pool2d(x, "avg", 2, 1, 0)
-        a, b = split_channels(y, 2)
+        a, b = split_channels(pool2d(x, "avg", 2, 1, 0), 2)
+        del x
         a = self.cv1.forward(a)
         b = self.cv2.forward(pool2d(b, "max", 3, 2, 1))
         return concat_channels([a, b])

@@ -1,7 +1,9 @@
 """Command-line front end: describe | cost | reparam-check | forward | selftest.
 
 Exit codes: 0 success, 1 validation or tolerance failure, 2 usage error.
-All output is reproducible byte-for-byte for fixed flags and seed.
+All output is reproducible byte-for-byte for fixed flags and seed; forward
+output also needs a fixed BLAS thread count, since a GEMM's summation order
+follows how the BLAS splits it across threads.
 """
 from __future__ import annotations
 
@@ -202,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write fused weights here (VJW1)")
     p.set_defaults(fn=cmd_reparam_check)
 
-    p = sub.add_parser("forward", help="run the graph, write stage outputs as VJW1 tensors")
+    p = sub.add_parser("forward", help="run the graph, write stage outputs as VJW1 tensors "
+                                       "(bytes reproducible at a fixed BLAS thread count)")
     add_common(p, "1x3x640x640", with_weights=True, with_seed=True)
     p.add_argument("--input", help="VJW1 file holding the input tensor (overrides --shape)")
     p.add_argument("--out", default="forward_out.vjw", help="output tensor file")

@@ -390,8 +390,11 @@ class Model:
         """Run the graph in node order, yielding (node, output) per node.
 
         The walk itself holds an output only until its last consumer has
-        collected its inputs; a caller that needs one longer keeps its own
-        reference, and should drop the ones it does not before resuming."""
+        collected its inputs, and hands a block or upsample node its one input
+        off the source list, so the node alone holds it while it runs (a block
+        drops its input after its last reader). A caller that needs an output
+        longer keeps its own reference, and should drop the ones it does not
+        before resuming."""
         check_tensor4(x, "model input")
         self.graph.check_input_channels(x.shape[1])
         last_use = {s: i for i, node in enumerate(self.graph.nodes) for s in node.inputs}
@@ -405,9 +408,9 @@ class Model:
                 if node.kind == "concat":
                     y = concat_channels(srcs)
                 elif node.kind == "upsample":
-                    y = upsample_nearest(srcs[0])
+                    y = upsample_nearest(srcs.pop())
                 else:
-                    y = self.blocks[node.id].forward(srcs[0])
+                    y = self.blocks[node.id].forward(srcs.pop())
             except (ValueError, ShapeError) as e:
                 raise ShapeError(f"node '{node.id}': {e}") from None
             if node.id in last_use:
@@ -424,19 +427,22 @@ class Model:
         return outs
 
     def stage_outputs(self, x: np.ndarray) -> dict:
-        """Map stage tag -> output of the last node carrying that tag; for an
-        untagged graph, the final node's output under its id. Each
-        intermediate is dropped once its last consumer has collected its
-        inputs, so only those still needed and the tagged ones are alive."""
-        final = self.graph.nodes[-1]
-        tagged, last = {}, {}
+        """Map stage tag -> output of the last node carrying that tag, in order
+        of each tag's first node; for an untagged graph, the final node's output
+        under its id. A pass holds an output only while a later node reads it or
+        it is one of those returned, so an output a later node of its tag
+        supersedes is dropped at its last reader."""
+        nodes = self.graph.nodes
+        last = {node.stage: node for node in nodes if node.stage is not None}
+        if not last:
+            last = {nodes[-1].id: nodes[-1]}
+        key = {node.id: k for k, node in last.items()}
+        outs = dict.fromkeys(last)
         for node, y in self.walk(x):
-            if node.stage is not None:
-                tagged[node.stage] = y
-            if node is final:
-                last[node.id] = y
+            if node.id in key:
+                outs[key[node.id]] = y
             del y
-        return tagged or last
+        return outs
 
 
 def forward_graph(graph: ModelGraph, store, x: np.ndarray) -> dict:

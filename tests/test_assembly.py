@@ -5,6 +5,7 @@ import struct
 import threading
 import tracemalloc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import HealthCheck, assume, given, settings
 
 from conftest import rand_input
 from test_config_text import valid_config
+from vajrakit import blocks as B
 from vajrakit import graph as graph_module
 from vajrakit import weights as weights_module
 from vajrakit.cost import graph_cost
@@ -716,13 +718,11 @@ def _tagged_from_forward(model, x):
 
 def _needed(nodes, i) -> set:
     """Indices of the nodes before i whose outputs a pass must hold at the start
-    of node i: those a node >= i still reads, and the latest of each stage tag."""
+    of node i: those a node >= i still reads, and the last node of each stage
+    tag once it has run (an earlier node of the tag is superseded by it)."""
     last_use = {s: k for k, node in enumerate(nodes) for s in node.inputs}
-    latest = {}
-    for j in range(i):
-        if nodes[j].stage is not None:
-            latest[nodes[j].stage] = j
-    return {j for j in range(i) if last_use.get(nodes[j].id, -1) >= i} | set(latest.values())
+    kept = {node.stage: j for j, node in enumerate(nodes) if node.stage is not None}
+    return {j for j in range(i) if last_use.get(nodes[j].id, -1) >= i or kept.get(nodes[j].stage) == j}
 
 
 def _root(a: np.ndarray) -> np.ndarray:
@@ -733,11 +733,28 @@ def _root(a: np.ndarray) -> np.ndarray:
 
 
 def _run_node(model, node, srcs):
+    """Run one node as Model.walk does: a block or upsample takes its one input
+    off the list, so the list no longer holds it."""
     if node.kind == "concat":
         return graph_module.concat_channels(srcs)
     if node.kind == "upsample":
-        return graph_module.upsample_nearest(srcs[0])
-    return model.blocks[node.id].forward(srcs[0])
+        return graph_module.upsample_nearest(srcs.pop())
+    return model.blocks[node.id].forward(srcs.pop())
+
+
+def _run_handed_over(model, node, outs, dying):
+    """Run a node on its inputs from outs, those named in dying as copies made
+    here and held by nothing but the node, so the traced call owns them and
+    they are freed where the pass frees them."""
+    copies = {s: outs[s].copy() for s in dying}
+    srcs = [copies[s] if s in copies else outs[s] for s in node.inputs]
+    del copies
+    return _run_node(model, node, srcs)
+
+
+# Each block that drops its input after its one reader, with the child that runs last.
+_RELEASING = {B.MerudandaX: "final", B.MerudandaBhag15: "final", B.SPPF: "cv2",
+              B.AttentionBhag6: "cv2", B.ADown: "cv2"}
 
 
 def _traced_peak(fn) -> int:
@@ -766,7 +783,8 @@ class TestLiveness:
         # stand-in for each Model.blocks entry, concat and upsample outputs
         # through the graph module's own names. At the start of node i the
         # earlier outputs alive must be exactly those a node >= i still
-        # reads, plus the latest node of each stage tag so far; once the
+        # reads, plus the last node of each stage tag once it has run (an
+        # earlier node of the tag is dead once nothing reads it); once the
         # pass returns, exactly the outputs it returned.
         model, x = _liveness_case(label)
         nodes = model.graph.nodes
@@ -812,7 +830,8 @@ class TestLiveness:
         # view of one. With as_slice every node returns its output as the
         # leading channel slice of a buffer twice as wide, so output and
         # buffer differ. At the start of node i the buffers alive must be
-        # exactly those of the outputs a node >= i reads or a stage tag holds.
+        # exactly those of the outputs a node >= i reads or that are the last
+        # of their stage tag.
         model, x = _liveness_case(label)
         nodes = model.graph.nodes
         bufs = []
@@ -849,21 +868,62 @@ class TestLiveness:
 
     @pytest.mark.parametrize("label", ["N train", "M train"])
     def test_peak_within_live_plus_transient_table(self, label):
-        # Per node: the bytes of the outputs alive at its start (_needed),
-        # plus its transient, the traced peak of running it alone on inputs
-        # allocated beforehand (its output, scratch and temporaries). The
-        # pass holds nothing else, so its traced peak is the largest row,
-        # give or take the walk's own bookkeeping: dict and list entries and
-        # the array headers of views, a few KB on the presets' 22-24 nodes.
+        # Per node: the bytes of the outputs alive at its start (_needed)
+        # that outlive it, plus its transient, the traced peak of running it
+        # alone (its output, scratch and temporaries). An input the node is
+        # the last to hold dies inside it (a block drops its input after its
+        # last reader), so it is allocated inside the traced call and handed
+        # over as Model.walk hands it; the other inputs are allocated
+        # beforehand and counted as live. The pass holds nothing else, so its
+        # traced peak is the largest row, give or take the walk's own
+        # bookkeeping: dict and list entries and the array headers of views,
+        # a few KB on the presets' 22-24 nodes.
         model, x = _liveness_case(label)
         nodes = model.graph.nodes
+        index = {node.id: j for j, node in enumerate(nodes)}
         outs = model.forward(x)
         rows = []
         for i, node in enumerate(nodes):
-            live = sum(outs[nodes[j].id].nbytes for j in _needed(nodes, i))
-            srcs = [outs[s] for s in node.inputs]
-            rows.append(live + _traced_peak(lambda: _run_node(model, node, srcs)))
+            held = _needed(nodes, i + 1)
+            dying = {s for s in node.inputs if s != "input" and index[s] not in held}
+            live = sum(outs[nodes[j].id].nbytes for j in _needed(nodes, i) & held)
+            rows.append(live + _traced_peak(lambda: _run_handed_over(model, node, outs, dying)))
         del outs
         model.stage_outputs(x)  # warm: caches filled on first use are not the pass's
         peak = _traced_peak(lambda: model.stage_outputs(x))
         assert max(rows) - (16 << 10) <= peak <= max(rows) + (16 << 10)
+
+    @pytest.mark.parametrize("label", [f"{scale} {form}" for scale in SCALES for form in ("train", "fused")])
+    def test_single_reader_blocks_release_their_input(self, label):
+        # Driven through Model.walk, which hands each block its input: when
+        # the last child of a block in _RELEASING starts, the block's input
+        # (its source's output, read by no other node) must be dead. The
+        # presets place SPPF only inside AttentionBhag6, whose frame holds
+        # SPPF's input, so an sppf node reading the final node is appended.
+        scale, form = label.split()
+        final = load_preset(scale)[0].nodes[-1]
+        c = final.attrs["out"]
+        graph, _ = parse_config(preset_text(scale) + f"block probe type=sppf in={c} out={c} from={final.id}\n")
+        store = init_weights(graph, 0)
+        if form == "fused":
+            graph, store = reparam_graph(graph, store)
+        model = Model(graph).bind(store)
+        readers = Counter(s for node in graph.nodes for s in node.inputs)
+        refs, seen = {}, []
+        for node in graph.nodes:
+            kind, src = type(model.blocks[node.id]), node.inputs[0]
+            if kind in _RELEASING and readers[src] == 1 and src != "input":
+                child = getattr(model.blocks[node.id], _RELEASING[kind])
+
+                def starts(y, run=child.forward, name=kind.__name__, src=src):
+                    seen.append((name, refs[src]() is None))
+                    return run(y)
+                child.forward = starts
+        x = np.random.default_rng(3).standard_normal((1, 3, 64, 64)).astype(DTYPE)
+        for node, y in model.walk(x):
+            refs[node.id] = weakref.ref(y)
+            del y
+        assert [name for name, dead in seen if not dead] == []
+        kinds = {name for name, _ in seen}
+        assert kinds == {"MerudandaX", "MerudandaBhag15", "SPPF", "AttentionBhag6"} | (
+            {"ADown"} if any(node.kind == "adown" for node in graph.nodes) else set())

@@ -1,5 +1,6 @@
 """CLI surface: commands, exit codes, byte-reproducibility."""
 import json
+import os
 import subprocess
 import sys
 
@@ -209,6 +210,46 @@ class TestForward:
         run_cli("forward", "--config", preset_n, "--weights", str(wfile),
                 "--shape", "1x3x64x64", "--seed", "2", "--out", str(o2))
         assert o1.read_bytes() == o2.read_bytes()
+
+
+# Writes, for N and X at seed 9, the init and fused weights as VJW1, the fused
+# file read back and written again, and the cost JSON, into the directory argv[1].
+_THREAD_FREE_OUTPUTS = """
+import sys
+from pathlib import Path
+from vajrakit import cli
+from vajrakit.presets import load_preset, preset_text
+from vajrakit.reparam import reparam_graph
+from vajrakit.weights import WeightStore, init_weights
+out = Path(sys.argv[1])
+for scale in ("N", "X"):
+    graph, _ = load_preset(scale)
+    store = init_weights(graph, 9)
+    store.save(out / f"{scale}-init.vjw")
+    reparam_graph(graph, store)[1].save(out / f"{scale}-fused.vjw")
+    WeightStore.load(out / f"{scale}-fused.vjw").save(out / f"{scale}-reloaded.vjw")
+    cfg = out / f"{scale}.cfg"
+    cfg.write_text(preset_text(scale), "utf-8")
+    cli.main(["cost", "--config", str(cfg), "--format", "json", "--out", str(out / f"{scale}-cost.json")])
+"""
+
+
+def test_weights_and_cost_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # Forward bytes hold only at a fixed BLAS thread count (an SGEMM's
+    # summation order follows its thread split); everything that runs no
+    # GEMM must not depend on it. The count is set in each child's
+    # environment only.
+    files = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", _THREAD_FREE_OUTPUTS, str(out)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        files[threads] = {p.name: p.read_bytes() for p in out.iterdir() if p.suffix != ".cfg"}
+    assert len(files["1"]) == 8
+    assert files["1"] == files["2"]
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -28,6 +28,7 @@ gives each node's output (c, h, w) and cost ``Tally`` with no storage.
 from __future__ import annotations
 
 import inspect
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -351,6 +352,43 @@ def propagate_shapes(graph: ModelGraph, c: int, h: int, w: int) -> dict:
     return {"input": (c, h, w), **{node.id: out for node, out, _ in static_walk(graph, c, h, w)}}
 
 
+def _upsample_targets(nodes) -> dict:
+    """Upsample node id -> the concat it can write into: the node right after
+    it, which is its one reader and names it once, so that the concat's other
+    sources are all live when the upsample runs. An upsample that is the last
+    node of its stage tag is left out: ``stage_outputs`` returns it, and as a
+    view it would keep the whole concat alive."""
+    readers = Counter(s for node in nodes for s in node.inputs)
+    returned = {node.stage: node.id for node in nodes if node.stage is not None}
+    return {up.id: cat for up, cat in zip(nodes, nodes[1:])
+            if up.kind == "upsample" and cat.kind == "concat" and readers[up.id] == 1
+            and up.id in cat.inputs and returned.get(up.stage) != up.id}
+
+
+def _upsample(x: np.ndarray, nid: str, cat: BlockNode | None, live: dict, made: dict) -> np.ndarray:
+    """Upsample x for node `nid`. When `cat` is the concat it writes into and
+    the concat's other sources in `live` fit beside it, build the concat with a
+    zero placeholder in nid's slot and upsample into that slot; the concat
+    goes into `made` unless a backend returned its own upsample instead. If a
+    backend's concat returned an array that cannot be written, or a misfit,
+    the upsample is made alone and the concat node concatenates (and names a
+    misfit in its error)."""
+    n, c, h, w = x.shape
+    shape = (n, c, 2 * h, 2 * w)
+    parts = [zero_view(shape) if s == nid else live[s] for s in cat.inputs] if cat else []
+    if not parts or any(p.shape[0] != n or p.shape[2:] != shape[2:] for p in parts):
+        return upsample_nearest(x)
+    c0 = sum(p.shape[1] for p in parts[:cat.inputs.index(nid)])
+    buf = concat_channels(parts)
+    if not buf.flags.writeable or 0 in buf.strides:  # a backend's read-only or shared array
+        return upsample_nearest(x)
+    slot = buf[:, c0:c0 + c]
+    y = upsample_nearest(x, out=slot)
+    if y is slot:
+        made[cat.id] = buf
+    return y
+
+
 class Model:
     """A graph bound to concrete blocks; executes the DAG in node order."""
 
@@ -392,23 +430,29 @@ class Model:
         The walk itself holds an output only until its last consumer has
         collected its inputs, and hands a block or upsample node its one input
         off the source list, so the node alone holds it while it runs (a block
-        drops its input after its last reader). A caller that needs an output
-        longer keeps its own reference, and should drop the ones it does not
-        before resuming."""
+        drops its input after its last reader). An upsample node that
+        ``_upsample_targets`` pairs with a concat makes that concat's output
+        when it runs and writes its own into its channel slot: its output is
+        a view of the concat's, which the concat node then yields, and no
+        upsampled map is copied. A caller that needs an output longer keeps
+        its own reference, and should drop the ones it does not before
+        resuming."""
         check_tensor4(x, "model input")
         self.graph.check_input_channels(x.shape[1])
-        last_use = {s: i for i, node in enumerate(self.graph.nodes) for s in node.inputs}
-        live = {"input": x}
-        for i, node in enumerate(self.graph.nodes):
+        nodes = self.graph.nodes
+        last_use = {s: i for i, node in enumerate(nodes) for s in node.inputs}
+        into = _upsample_targets(nodes)
+        live, made = {"input": x}, {}
+        for i, node in enumerate(nodes):
             srcs = [live[s] for s in node.inputs]
             for s in node.inputs:
                 if last_use[s] == i:
                     live.pop(s, None)  # a concat may name one source twice
             try:
                 if node.kind == "concat":
-                    y = concat_channels(srcs)
+                    y = made.pop(node.id) if node.id in made else concat_channels(srcs)
                 elif node.kind == "upsample":
-                    y = upsample_nearest(srcs.pop())
+                    y = _upsample(srcs.pop(), node.id, into.get(node.id), live, made)
                 else:
                     y = self.blocks[node.id].forward(srcs.pop())
             except (ValueError, ShapeError) as e:

@@ -8,9 +8,10 @@ into an input unless it is passed as ``out``; ``split_channels`` returns
 views of its input.
 
 Dense convolution is a BLAS matmul over the im2col patch matrix, built one
-bounded row tile at a time straight from the unpadded input (zeros where a
-tap falls in the padding) and multiplied into its slice of the output; a
-1x1 stride-1 unpadded conv multiplies a reshape of the input, with no copy.
+band of output rows at a time straight from the unpadded input (zeros where
+a tap falls in the padding) and multiplied into its slice of the output. A
+band is at most TILE_BYTES and at most the rows a MIN_SITES-wide GEMM needs.
+A 1x1 stride-1 unpadded conv multiplies a reshape of the input, with no copy.
 Grouped and depthwise convolution accumulate one small contraction per
 kernel tap over shifted, strided views of the padded input. Pooling is a
 separable reduction: the k row-shifted slices, then the k column-shifted
@@ -22,13 +23,16 @@ there is none. So ``oracle.py`` swaps in its naive ops, and ``cost.py``
 reads shapes and costs off a forward over ``zero_view``s, which hold one
 element whatever their shape. ``mul`` broadcasts its second operand.
 
-Ownership: ``batchnorm_infer``, ``add`` and ``activation`` take ``out=``;
-the fast path writes its result there and returns it, and ``out`` may be
-an input. A backend's method is never passed ``out``, so callers always use
-the returned array, which under a backend may be a new one (under
+Ownership: ``batchnorm_infer``, ``add``, ``activation`` and
+``upsample_nearest`` take ``out=``; the fast path writes its result there
+and returns it, and ``out`` may be an input (except for the upsample). A
+backend's method is never passed ``out``, so callers always use the
+returned array, which under a backend may be a new one (under
 ``cost.MetaBackend``, a read-only zero view that nothing writes). A block
 passes as ``out`` only a buffer it got from an op in the same forward and
 no longer reads otherwise: never a block input, a weight or a split part.
+``Model.walk`` passes ``upsample_nearest`` a channel slot of the concat it
+has just built, and uses that concat only if the op returned the slot.
 """
 from __future__ import annotations
 
@@ -228,14 +232,22 @@ def _window_reduce(xp: np.ndarray, k: int, stride: int, ho: int, wo: int, ufunc)
     return _fold(_taps(rows, k, stride, wo, 3), ufunc)
 
 
-# Bytes of patch matrix built at a time by dense conv. Each tile feeds one
-# GEMM of width rows * w_out: smaller tiles give narrow GEMMs that BLAS runs
-# slowly, larger ones fall out of cache before the GEMM reads them. Summed
-# over the dense convs of presets N@640 and X@256 (best of 9 per call, two
-# sweeps; 2-vCPU Xeon, 2 MB L2 per core, OpenBLAS 0.3.31), 1 MB tiles were
-# 15-19% slower than 4 MB; 16 MB tiles were 21-43% slower on N and 0.5-8%
-# slower on X.
+# Dense conv cuts its patch matrix into the fewest equal bands of whole
+# output rows that each hold at most TILE_BYTES (one row if a row is larger),
+# and caps a band at the rows a GEMM of MIN_SITES output sites needs. Each
+# band feeds one GEMM of width rows * w_out: narrow GEMMs run slowly in BLAS,
+# and tiles larger than cache fall out of it before the GEMM reads them.
+# Summed over the dense convs of presets N@640 and X@256 (best of 9 per call,
+# two sweeps; 2-vCPU Xeon, 2 MB L2 per core, OpenBLAS 0.3.31), 1 MB tiles
+# were 15-19% slower than 4 MB; 16 MB tiles were 21-43% slower on N and
+# 0.5-8% slower on X. The cap sets the tile of a narrow conv on a wide map:
+# 138 KB for N's stem at 640, not 4 MB. Over the same call lists plus M
+# train, batch 4 @160 (best of 7, three sweeps), against no cap: 512 sites
+# cost N 23% more dense-conv time, 1024 sites 5-7%, 2048 sites 0.6-2%, and
+# X and M moved within 2% either way. 1024 and 2048 give the same pass
+# peaks on N, X, M and L; 1024 takes S fused @320 from 12.50 to 11.21 MB.
 TILE_BYTES = 4 << 20
+MIN_SITES = 1024
 
 
 def _valid(shift: int, size: int, stride: int, start: int, count: int) -> tuple[int, int]:
@@ -250,7 +262,7 @@ def _dense_conv(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, out: np.ndar
     """out (n, c_out, ho, wo), as (n, c_out, ho*wo) = weights (c_out, c_in*k*k)
     @ the im2col patch matrix of each image, whose rows are (channel, tap row,
     tap column) and whose columns are output sites. The patch matrix is built
-    TILE_BYTES at a time, a band of whole output rows per tile, straight from
+    one band of whole output rows at a time (see TILE_BYTES), straight from
     the unpadded input."""
     n, c, h, w = x.shape
     k, s, p = spec.k, spec.stride, spec.padding
@@ -260,7 +272,8 @@ def _dense_conv(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, out: np.ndar
     if k == 1 and s == 1 and p == 0:
         np.matmul(wmat, x.reshape(n, c, h * w), out=out)  # a view of x; no copy
         return
-    band = min(ho, max(1, TILE_BYTES // (c * k * k * wo * x.itemsize)))
+    tiles = -(-ho // max(1, TILE_BYTES // (c * k * k * wo * x.itemsize)))
+    band = min(-(-MIN_SITES // wo), -(-ho // tiles))
     # a tap's padding columns are the same in every band, never written and
     # so zero from here on; its padding rows differ per band and are zeroed
     # where they fall
@@ -289,7 +302,7 @@ def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray 
     """Grouped 2-D convolution over NCHW.
 
     Dense conv (groups == 1) is im2col + BLAS matmul, with the patch matrix
-    built in row tiles of TILE_BYTES from the unpadded input and each tile
+    built in bands of output rows from the unpadded input and each band
     multiplied into its slice of the output. Grouped and depthwise conv
     accumulate k*k per-tap contractions over the shifted stride-s views of
     the padded input. Elementwise agreement with the naive loop-nest in
@@ -495,7 +508,16 @@ def global_avg_pool(x: np.ndarray) -> np.ndarray:
 
 
 @_hooked
-def upsample_nearest(x: np.ndarray) -> np.ndarray:
-    """Nearest-neighbour 2x spatial upsampling."""
+def upsample_nearest(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Nearest-neighbour 2x spatial upsampling, into `out` if given: x into
+    the even columns of the even rows, then into the odd ones, then the even
+    rows copied onto the odd. (One broadcast write of x took twice as long:
+    its innermost loop is two elements.)"""
     check_tensor4(x, "upsample input")
-    return np.ascontiguousarray(x.repeat(2, axis=2).repeat(2, axis=3))
+    n, c, h, w = x.shape
+    out = _out(out, (n, c, 2 * h, 2 * w))
+    pairs = out.reshape(n, c, h, 2, w, 2)  # splits axes only: a view, even of a strided slot
+    pairs[:, :, :, 0, :, 0] = x
+    pairs[:, :, :, 0, :, 1] = x
+    pairs[:, :, :, 1] = pairs[:, :, :, 0]
+    return out

@@ -15,6 +15,7 @@ from conftest import rand_input
 from test_config_text import valid_config
 from vajrakit import blocks as B
 from vajrakit import graph as graph_module
+from vajrakit import tensor
 from vajrakit import weights as weights_module
 from vajrakit.cost import graph_cost
 from vajrakit.graph import (
@@ -28,7 +29,7 @@ from vajrakit.graph import (
 )
 from vajrakit.presets import REFERENCE_TOTALS, SCALES, load_preset, preset_text
 from vajrakit.reparam import reparam_graph
-from vajrakit.tensor import DTYPE, ShapeError
+from vajrakit.tensor import DTYPE, ShapeError, override_backend
 from vajrakit.weights import WeightFormatError, WeightStore, init_weights
 
 
@@ -686,6 +687,77 @@ block d type=conv_bn_act in=8 out=4 k=1 s=1 from=c
 """,
 }
 
+# Hand-built graphs around an upsample and a concat: the walk writes the
+# upsample into its concat in the "first", "middle", "last" and "untagged"
+# cases, and copies it as before in the others.
+UPSAMPLE_GRAPHS = {
+    "upsample first in its concat": """
+block a type=conv_bn_act in=3 out=4 k=3 s=2 stage=S1 from=input
+block b type=conv_bn_act in=3 out=6 k=1 s=1 from=input
+block up type=upsample stage=P3 from=a
+block cat type=concat stage=P3 from=up,b
+block c type=conv_bn_act in=10 out=4 k=1 s=1 stage=P4 from=cat
+""",
+    "upsample middle in its concat": """
+block a type=conv_bn_act in=3 out=4 k=3 s=2 from=input
+block b type=conv_bn_act in=3 out=6 k=1 s=1 from=input
+block up type=upsample stage=P3 from=a
+block cat type=concat stage=P3 from=b,up,input
+block c type=conv_bn_act in=13 out=4 k=1 s=1 stage=P4 from=cat
+""",
+    "upsample last in its concat": """
+block a type=conv_bn_act in=3 out=4 k=3 s=2 from=input
+block b type=conv_bn_act in=3 out=6 k=1 s=1 from=input
+block up type=upsample stage=P3 from=a
+block cat type=concat stage=P3 from=b,input,up
+block c type=conv_bn_act in=13 out=4 k=1 s=1 stage=P4 from=cat
+""",
+    "node between upsample and concat": """
+block a type=conv_bn_act in=3 out=4 k=3 s=2 from=input
+block b type=conv_bn_act in=3 out=6 k=1 s=1 from=input
+block up type=upsample from=a
+block d type=conv_bn_act in=4 out=4 k=3 s=1 stage=S2 from=a
+block cat type=concat stage=P3 from=b,up
+block c type=conv_bn_act in=10 out=4 k=1 s=1 stage=P4 from=cat
+""",
+    "upsample returned as a stage output": """
+block a type=conv_bn_act in=3 out=4 k=3 s=2 from=input
+block b type=conv_bn_act in=3 out=6 k=1 s=1 from=input
+block up type=upsample stage=P3 from=a
+block cat type=concat from=up,b
+block c type=conv_bn_act in=10 out=4 k=1 s=1 stage=P4 from=cat
+""",
+    "untagged upsample into concat": """
+block a type=conv_bn_act in=3 out=4 k=3 s=2 from=input
+block b type=conv_bn_act in=3 out=6 k=1 s=1 from=input
+block up type=upsample from=a
+block cat type=concat from=b,up
+block c type=conv_bn_act in=10 out=4 k=1 s=1 from=cat
+""",
+    "upsample read by two nodes": """
+block a type=conv_bn_act in=3 out=4 k=3 s=2 from=input
+block b type=conv_bn_act in=3 out=6 k=1 s=1 from=input
+block up type=upsample from=a
+block cat type=concat stage=P3 from=up,b
+block c type=conv_bn_act in=4 out=4 k=1 s=1 stage=P4 from=up
+""",
+    "concat names the upsample twice": """
+block a type=conv_bn_act in=3 out=4 k=3 s=2 from=input
+block b type=conv_bn_act in=3 out=6 k=1 s=1 from=input
+block up type=upsample from=a
+block cat type=concat stage=P3 from=up,b,up
+block c type=conv_bn_act in=14 out=4 k=1 s=1 stage=P4 from=cat
+""",
+    "concat source after the upsample": """
+block a type=conv_bn_act in=3 out=4 k=3 s=2 from=input
+block up type=upsample from=a
+block b type=conv_bn_act in=3 out=6 k=1 s=1 from=input
+block cat type=concat stage=P3 from=up,b
+block c type=conv_bn_act in=10 out=4 k=1 s=1 stage=P4 from=cat
+""",
+}
+LIVENESS_GRAPHS.update(UPSAMPLE_GRAPHS)
+
 LIVENESS_CASES = [f"{scale} {form}" for scale in SCALES for form in ("train", "fused")] + list(LIVENESS_GRAPHS)
 
 
@@ -716,13 +788,50 @@ def _tagged_from_forward(model, x):
     return want or {final: outs[final]}
 
 
+def _fused_pairs(nodes) -> dict:
+    """Index of each upsample node the walk writes into its concat -> the
+    concat's index: the concat is the next node, its only reader, and names
+    it once, and the upsample is not the last node of its stage tag, which
+    stage_outputs returns."""
+    kept = {node.stage: j for j, node in enumerate(nodes) if node.stage is not None}
+    pairs = {}
+    for u, node in enumerate(nodes):
+        readers = [c for c, r in enumerate(nodes) for s in r.inputs if s == node.id]
+        if node.kind == "upsample" and readers == [u + 1] and nodes[u + 1].kind == "concat" \
+                and kept.get(node.stage) != u:
+            pairs[u] = u + 1
+    return pairs
+
+
 def _needed(nodes, i) -> set:
-    """Indices of the nodes before i whose outputs a pass must hold at the start
-    of node i: those a node >= i still reads, and the last node of each stage
-    tag once it has run (an earlier node of the tag is superseded by it)."""
+    """Indices of the nodes whose outputs a pass must hold at the start of node
+    i: those before i that a node >= i still reads, the last node of each
+    stage tag once it has run (an earlier node of the tag is superseded by
+    it), and a concat whose output its upsample node made, from that node on."""
     last_use = {s: k for k, node in enumerate(nodes) for s in node.inputs}
     kept = {node.stage: j for j, node in enumerate(nodes) if node.stage is not None}
-    return {j for j in range(i) if last_use.get(nodes[j].id, -1) >= i or kept.get(nodes[j].stage) == j}
+    made = {c for u, c in _fused_pairs(nodes).items() if u < i <= c}
+    return made | {j for j in range(i) if last_use.get(nodes[j].id, -1) >= i or kept.get(nodes[j].stage) == j}
+
+
+def _op_calls(nodes) -> list:
+    """(index of the node whose output it makes, index of the node it starts
+    or None) per hooked op call a pass makes at node level, in order: a fused
+    upsample node makes its concat's output, then its own into it, and its
+    concat node calls nothing."""
+    pairs = _fused_pairs(nodes)
+    calls = []
+    for i in range(len(nodes)):
+        if i in pairs:
+            calls += [(pairs[i], i), (i, None)]
+        elif i not in pairs.values():
+            calls.append((i, i))
+    return calls
+
+
+def _nbytes(outs, nodes, indices) -> int:
+    """Bytes of the buffers the outputs of `indices` live in, each counted once."""
+    return sum({id(r): r.nbytes for r in (_root(outs[nodes[j].id]) for j in indices)}.values())
 
 
 def _root(a: np.ndarray) -> np.ndarray:
@@ -733,8 +842,9 @@ def _root(a: np.ndarray) -> np.ndarray:
 
 
 def _run_node(model, node, srcs):
-    """Run one node as Model.walk does: a block or upsample takes its one input
-    off the list, so the list no longer holds it."""
+    """Run one node as Model.walk does when it writes no upsample into a concat:
+    a block or upsample takes its one input off the list, so the list no
+    longer holds it."""
     if node.kind == "concat":
         return graph_module.concat_channels(srcs)
     if node.kind == "upsample":
@@ -742,14 +852,26 @@ def _run_node(model, node, srcs):
     return model.blocks[node.id].forward(srcs.pop())
 
 
-def _run_handed_over(model, node, outs, dying):
+def _run_handed_over(model, node, outs, dying, cat=None):
     """Run a node on its inputs from outs, those named in dying as copies made
     here and held by nothing but the node, so the traced call owns them and
-    they are freed where the pass frees them."""
+    they are freed where the pass frees them. An upsample node with `cat`
+    makes that concat's output and writes into it, as Model.walk does."""
     copies = {s: outs[s].copy() for s in dying}
     srcs = [copies[s] if s in copies else outs[s] for s in node.inputs]
     del copies
+    if cat is not None:
+        return graph_module._upsample(srcs.pop(), node.id, cat, outs, {})
     return _run_node(model, node, srcs)
+
+
+def _unfused_outputs(model, x) -> dict:
+    """Every node's output, each upsample materialised and copied into its
+    concat: the walk's outputs restated without writing into a concat."""
+    outs = {"input": x}
+    for node in model.graph.nodes:
+        outs[node.id] = _run_node(model, node, [outs[s] for s in node.inputs])
+    return outs
 
 
 # Each block that drops its input after its one reader, with the child that runs last.
@@ -781,30 +903,29 @@ class TestLiveness:
     def test_only_needed_outputs_alive(self, label, monkeypatch):
         # Every node output is recorded by weakref: block outputs through a
         # stand-in for each Model.blocks entry, concat and upsample outputs
-        # through the graph module's own names. At the start of node i the
-        # earlier outputs alive must be exactly those a node >= i still
-        # reads, plus the last node of each stage tag once it has run (an
-        # earlier node of the tag is dead once nothing reads it); once the
-        # pass returns, exactly the outputs it returned.
+        # through the graph module's own names (_op_calls says which node each
+        # call makes the output of). At the start of node i the outputs alive
+        # must be exactly those a node >= i still reads, plus the last node of
+        # each stage tag once it has run (an earlier node of the tag is dead
+        # once nothing reads it) and a concat made by its upsample node; once
+        # the pass returns, exactly the outputs it returned.
         model, x = _liveness_case(label)
         nodes = model.graph.nodes
+        calls = _op_calls(nodes)
         refs = []
         mismatches = []
 
-        def needed(i):
-            return _needed(nodes, i)
-
         def alive():
-            return {j for j, ref in enumerate(refs) if ref() is not None}
+            return {j for j, ref in refs if ref() is not None}
 
         def recorded(fn):
-            def run(*args):
-                i = len(refs)
-                if alive() != needed(i):
-                    extra = sorted(nodes[j].id for j in alive() - needed(i))
-                    mismatches.append((nodes[i].id, extra))
-                y = fn(*args)
-                refs.append(weakref.ref(y))
+            def run(*args, **kwargs):
+                owner, start = calls[len(refs)]
+                if start is not None and alive() != _needed(nodes, start):
+                    extra = sorted(nodes[j].id for j in alive() - _needed(nodes, start))
+                    mismatches.append((nodes[start].id, extra))
+                y = fn(*args, **kwargs)
+                refs.append((owner, weakref.ref(y)))
                 return y
             return run
 
@@ -817,38 +938,44 @@ class TestLiveness:
         monkeypatch.setattr(graph_module, "concat_channels", recorded(graph_module.concat_channels))
         monkeypatch.setattr(graph_module, "upsample_nearest", recorded(graph_module.upsample_nearest))
         outs = model.stage_outputs(x)
-        assert len(refs) == len(nodes)
+        assert sorted(owner for owner, _ in refs) == list(range(len(nodes)))
         assert mismatches == []
-        assert alive() == {j for j, ref in enumerate(refs)
-                           if any(ref() is y for y in outs.values())}
+        assert alive() == {j for j, ref in refs if any(ref() is y for y in outs.values())}
 
     @pytest.mark.parametrize("as_slice", [False, True], ids=["own", "slice"])
     @pytest.mark.parametrize("label", LIVENESS_CASES)
     def test_only_needed_buffers_alive(self, label, as_slice, monkeypatch):
         # As above, by the buffer each output lives in rather than the output
         # array itself: blocks write into buffers they own and may return a
-        # view of one. With as_slice every node returns its output as the
+        # view of one, and an upsample written into its concat lives in the
+        # concat's buffer. With as_slice every op returns its output as the
         # leading channel slice of a buffer twice as wide, so output and
-        # buffer differ. At the start of node i the buffers alive must be
-        # exactly those of the outputs a node >= i reads or that are the last
-        # of their stage tag.
+        # buffer differ; an upsample given out= returns it, a slice already.
+        # At the start of node i the buffers alive must be exactly those of
+        # the outputs _needed names, with both nodes of a fused pair alive
+        # when either is.
         model, x = _liveness_case(label)
         nodes = model.graph.nodes
+        calls, pairs = _op_calls(nodes), _fused_pairs(nodes)
         bufs = []
         mismatches = []
 
+        def needed(i):
+            want = _needed(nodes, i)
+            return want.union(*({u, c} for u, c in pairs.items() if {u, c} & want))
+
         def alive():
-            return {j for j, ref in enumerate(bufs) if ref() is not None}
+            return {j for j, ref in bufs if ref() is not None}
 
         def recorded(fn):
-            def run(*args):
-                i = len(bufs)
-                if alive() != _needed(nodes, i):
-                    mismatches.append((nodes[i].id, sorted(alive() ^ _needed(nodes, i))))
-                y = fn(*args)
-                if as_slice:
+            def run(*args, **kwargs):
+                owner, start = calls[len(bufs)]
+                if start is not None and alive() != needed(start):
+                    mismatches.append((nodes[start].id, sorted(alive() ^ needed(start))))
+                y = fn(*args, **kwargs)
+                if as_slice and "out" not in kwargs:
                     y = np.concatenate([y, y], axis=1)[:, :y.shape[1]]
-                bufs.append(weakref.ref(_root(y)))
+                bufs.append((owner, weakref.ref(_root(y))))
                 return y
             return run
 
@@ -861,9 +988,9 @@ class TestLiveness:
         monkeypatch.setattr(graph_module, "concat_channels", recorded(graph_module.concat_channels))
         monkeypatch.setattr(graph_module, "upsample_nearest", recorded(graph_module.upsample_nearest))
         outs = model.stage_outputs(x)
-        assert len(bufs) == len(nodes)
+        assert sorted(owner for owner, _ in bufs) == list(range(len(nodes)))
         assert mismatches == []
-        assert {id(ref()) for j, ref in enumerate(bufs) if j in alive()} == \
+        assert {id(ref()) for j, ref in bufs if j in alive()} == \
             {id(_root(y)) for y in outs.values()}
 
     @pytest.mark.parametrize("label", ["N train", "M train"])
@@ -874,20 +1001,29 @@ class TestLiveness:
         # the last to hold dies inside it (a block drops its input after its
         # last reader), so it is allocated inside the traced call and handed
         # over as Model.walk hands it; the other inputs are allocated
-        # beforehand and counted as live. The pass holds nothing else, so its
-        # traced peak is the largest row, give or take the walk's own
-        # bookkeeping: dict and list entries and the array headers of views,
-        # a few KB on the presets' 22-24 nodes.
+        # beforehand and counted as live. An upsample written into its concat
+        # makes the concat's buffer as its transient; that concat node then
+        # allocates nothing, and its row is what is alive at its start.
+        # Outputs that share a buffer count it once. The pass holds nothing
+        # else, so its traced peak is the largest row, give or take the
+        # walk's own bookkeeping: dict and list entries and the array headers
+        # of views, a few KB on the presets' 22-24 nodes.
         model, x = _liveness_case(label)
         nodes = model.graph.nodes
         index = {node.id: j for j, node in enumerate(nodes)}
+        pairs = _fused_pairs(nodes)
+        assert len(pairs) == 2  # up4 into cat4a, up3 into cat3a
         outs = model.forward(x)
         rows = []
         for i, node in enumerate(nodes):
+            if i in pairs.values():
+                rows.append(_nbytes(outs, nodes, _needed(nodes, i)))
+                continue
             held = _needed(nodes, i + 1)
             dying = {s for s in node.inputs if s != "input" and index[s] not in held}
-            live = sum(outs[nodes[j].id].nbytes for j in _needed(nodes, i) & held)
-            rows.append(live + _traced_peak(lambda: _run_handed_over(model, node, outs, dying)))
+            live = _nbytes(outs, nodes, _needed(nodes, i) & held)
+            cat = nodes[pairs[i]] if i in pairs else None
+            rows.append(live + _traced_peak(lambda: _run_handed_over(model, node, outs, dying, cat)))
         del outs
         model.stage_outputs(x)  # warm: caches filled on first use are not the pass's
         peak = _traced_peak(lambda: model.stage_outputs(x))
@@ -927,3 +1063,116 @@ class TestLiveness:
         kinds = {name for name, _ in seen}
         assert kinds == {"MerudandaX", "MerudandaBhag15", "SPPF", "AttentionBhag6"} | (
             {"ADown"} if any(node.kind == "adown" for node in graph.nodes) else set())
+
+
+# Whether the walk writes the upsample into its concat, per hand-built graph.
+WRITES_INTO_CONCAT = {
+    "upsample first in its concat": True,
+    "upsample middle in its concat": True,
+    "upsample last in its concat": True,
+    "node between upsample and concat": False,
+    "untagged upsample into concat": True,
+    "upsample returned as a stage output": False,
+    "upsample read by two nodes": False,
+    "concat names the upsample twice": False,
+    "concat source after the upsample": False,
+}
+
+
+def _assert_same_outputs(got, want):
+    assert list(got) == list(want)
+    for key in want:
+        assert got[key].shape == want[key].shape and got[key].dtype == want[key].dtype, key
+        assert np.array_equal(got[key].view(np.uint32), want[key].view(np.uint32)), key
+
+
+class OwnUpsample:
+    """A backend defining only upsample_nearest, which returns a new array."""
+
+    def upsample_nearest(self, x):
+        with override_backend(None):
+            return tensor.upsample_nearest(x)
+
+
+class OwnConcat:
+    """A backend defining only concat_channels, which returns a new array."""
+
+    def concat_channels(self, xs):
+        with override_backend(None):
+            return tensor.concat_channels(xs)
+
+
+class ReadOnlyConcat:
+    """A backend defining only concat_channels, which returns a new array
+    that cannot be written."""
+
+    def concat_channels(self, xs):
+        with override_backend(None):
+            y = tensor.concat_channels(xs)
+        y.flags.writeable = False
+        return y
+
+
+class TestUpsampleIntoConcat:
+    CASES = list(UPSAMPLE_GRAPHS) + [f"{scale} {form}" for scale in SCALES for form in ("train", "fused")]
+
+    @pytest.mark.parametrize("label", CASES)
+    def test_outputs_equal_upsample_then_concat(self, label):
+        # forward() and stage_outputs bit for bit as when every upsample is
+        # materialised and copied into its concat; the upsample's output is
+        # a view of its concat's exactly where the rule says
+        model, x = _liveness_case(label)
+        nodes = model.graph.nodes
+        want = _unfused_outputs(model, x)
+        got = model.forward(x)
+        _assert_same_outputs(got, want)
+        _assert_same_outputs(model.stage_outputs(x), _tagged_from_forward(model, x))
+        pairs = _fused_pairs(nodes)
+        if label in WRITES_INTO_CONCAT:
+            assert bool(pairs) == WRITES_INTO_CONCAT[label]
+        else:
+            assert len(pairs) == 2  # each preset's two top-down upsamples
+        for u, node in enumerate(nodes):
+            if node.kind == "upsample":
+                cat = nodes[pairs[u]].id if u in pairs else next(
+                    n.id for n in nodes if node.id in n.inputs and n.kind == "concat")
+                assert np.shares_memory(got[node.id], got[cat]) == (u in pairs), node.id
+
+    @pytest.mark.parametrize("label", list(UPSAMPLE_GRAPHS) + ["N train", "X fused"])
+    def test_static_walk_unchanged(self, label, monkeypatch):
+        # propagate_shapes and graph_cost read the same off the walk with
+        # and without writing into concats, and match the runtime shapes
+        model, x = _liveness_case(label)
+        graph, chw = model.graph, x.shape[1:]
+        shapes, report = propagate_shapes(graph, *chw), graph_cost(graph, chw)
+        outs = _unfused_outputs(model, x)
+        assert shapes == {nid: y.shape[1:] for nid, y in outs.items()}
+        monkeypatch.setattr(graph_module, "_upsample_targets", lambda nodes: {})
+        assert propagate_shapes(graph, *chw) == shapes
+        assert graph_cost(graph, chw).nodes == report.nodes
+
+    def test_misfit_concat_error_names_the_concat(self):
+        # the upsample leaves a concat whose sources do not fit to the concat
+        # node, so the static walk and the run both name that node
+        graph, _ = parse_config(UPSAMPLE_GRAPHS["upsample first in its concat"])
+        with pytest.raises(ShapeError, match="node 'cat'"):
+            propagate_shapes(graph, 3, 15, 15)
+        model = Model(graph).bind(init_weights(graph, 0))
+        with pytest.raises(ShapeError, match="node 'cat'"):
+            model.stage_outputs(np.zeros((1, 3, 15, 15), DTYPE))
+
+    @pytest.mark.parametrize("backend", [OwnUpsample, OwnConcat, ReadOnlyConcat])
+    @pytest.mark.parametrize("label", ["upsample middle in its concat", "N fused"])
+    def test_backend_defining_one_of_the_two_ops(self, label, backend):
+        # a backend's upsample is never passed out= and returns its own
+        # array, so the concat is computed from it; a backend's concat gets
+        # the placeholder and the fast upsample writes into what it returned,
+        # unless that cannot be written: then the concat node concatenates
+        model, x = _liveness_case(label)
+        want = _unfused_outputs(model, x)
+        with override_backend(backend()):
+            got = model.forward(x)
+        _assert_same_outputs(got, want)
+        ups = [node for node in model.graph.nodes if node.kind == "upsample"]
+        cats = {node.id: next(n.id for n in model.graph.nodes if node.id in n.inputs) for node in ups}
+        assert any(np.shares_memory(got[u], got[c]) for u, c in cats.items()) == (backend is OwnConcat)

@@ -116,6 +116,16 @@ class TestConv2d:
         lhs = conv2d((a * x + b * y).astype(DTYPE), spec, w)
         rhs = a * conv2d(x, spec, w) + b * conv2d(y, spec, w)
         assert np.abs(lhs - rhs).max() <= 1e-5
+        # With S = sum|w|(|a||x| + |b||y|) and K = k*k*c_in: the input
+        # a*x + b*y takes two roundings and the conv sums K products, so lhs
+        # is within gamma_{K+2} * S of a*conv(x) + b*conv(y) exactly; each
+        # conv on rhs is within gamma_K of its own, and the scale and the sum
+        # add two more, so rhs is too. Each sum|w||x| comes from the oracle
+        # rounded to float32, hence the / (1 - u).
+        k_terms = spec.k * spec.k * spec.c_in
+        s = sum(abs(float(c)) * oracle.conv2d_naive(np.abs(v), spec, np.abs(w)).astype(np.float64)
+                for c, v in ((a, x), (b, y))) / (1.0 - U)
+        assert np.all(np.abs(lhs.astype(np.float64) - rhs) <= 2 * gamma(k_terms + 2) * s)
 
     def test_channel_mismatch_raises(self, rng):
         spec = ConvSpec(4, 4, 1)
@@ -191,15 +201,60 @@ class TestConv2dDerivedBound:
         (128, 2, 7, 1, 0, 9, 176),
     ]
 
+    @staticmethod
+    def _band(c_in, k, ho, wo):
+        """Output rows per tile: the fewest equal bands of at most TILE_BYTES
+        (one row if a row alone is larger), capped at the rows a GEMM of
+        MIN_SITES output sites needs."""
+        rows_fit = max(1, tensor.TILE_BYTES // (c_in * k * k * wo * np.dtype(DTYPE).itemsize))
+        return min(-(-tensor.MIN_SITES // wo), -(-ho // -(-ho // rows_fit)))
+
     @pytest.mark.parametrize("c_in,c_out,k,stride,padding,h,w_", MULTI_TILE)
     def test_dense_patch_matrix_over_several_tiles(self, rng, c_in, c_out, k, stride, padding, h, w_):
         spec = ConvSpec(c_in, c_out, k, stride, padding)
         ho, wo = conv_out_hw(h, w_, k, stride, padding)
         row_bytes = c_in * k * k * wo * np.dtype(DTYPE).itemsize
-        band = max(1, tensor.TILE_BYTES // row_bytes)
+        band = self._band(c_in, k, ho, wo)
         assert ho * row_bytes >= 3 * tensor.TILE_BYTES
         assert -(-ho // band) >= 3 and (ho % band != 0 or band == 1)
         self._check(rng, spec, h, w_)
+
+    def test_dense_bands_capped_by_gemm_width(self, rng):
+        # a small patch matrix on a wide map: one tile would hold it all, but
+        # each band stops at the rows a MIN_SITES-wide GEMM needs
+        spec = ConvSpec(8, 2, 3, 1, 1)
+        ho, wo = 13, 200
+        band = self._band(8, 3, ho, wo)
+        assert band == -(-tensor.MIN_SITES // wo) < ho
+        assert -(-ho // band) >= 3 and ho % band != 0
+        self._check(rng, spec, ho, wo)
+
+    @pytest.mark.parametrize("c_in,c_out,k,stride,padding,h,w_", MULTI_TILE + [
+        (8, 2, 3, 1, 1, 13, 200), (3, 16, 3, 2, 1, 160, 160), (2500, 2, 3, 1, 1, 3, 28)])
+    def test_every_tile_at_most_tile_bytes(self, rng, monkeypatch, c_in, c_out, k, stride, padding, h, w_):
+        # Each GEMM's patch operand, and the buffer it is cut from, holds at
+        # most TILE_BYTES, or one output row where a row alone is larger; the
+        # bands cover every output row of both images. The last geometry's
+        # 3 rows of 0.6 TILE_BYTES each take three tiles, not two.
+        spec = ConvSpec(c_in, c_out, k, stride, padding)
+        ho, wo = conv_out_hw(h, w_, k, stride, padding)
+        row_bytes = c_in * k * k * wo * np.dtype(DTYPE).itemsize
+        x = rand_input(rng, 2, c_in, h, w_)
+        w = rng.standard_normal(spec.weight_shape).astype(DTYPE)
+        tiles, matmul = [], np.matmul
+
+        def spy(a, b, **kwargs):
+            root = b
+            while isinstance(root.base, np.ndarray):
+                root = root.base
+            tiles.append((b.shape[1], b.nbytes, root.nbytes))
+            return matmul(a, b, **kwargs)
+        monkeypatch.setattr(np, "matmul", spy)
+        conv2d(x, spec, w)
+        limit = max(tensor.TILE_BYTES, row_bytes)
+        assert all(nbytes <= limit and buf <= limit for _, nbytes, buf in tiles)
+        assert sum(sites for sites, _, _ in tiles) == 2 * ho * wo
+        assert len(tiles) == 2 * -(-ho // self._band(c_in, k, ho, wo))
 
     def test_dense_peak_memory_under_half_the_patch_matrix(self, rng):
         spec = ConvSpec(32, 16, 3, 1, 1)
@@ -343,7 +398,17 @@ class TestBatchNorm:
     def test_matches_literal_formula(self, rng):
         x = rand_input(rng, 2, 5, 4, 4)
         bn = rand_bn(rng, 5)
-        assert np.abs(batchnorm_infer(x, bn) - oracle.batchnorm_naive(x, bn)).max() <= 1e-6
+        fast, ref = batchnorm_infer(x, bn), oracle.batchnorm_naive(x, bn)
+        assert np.abs(fast - ref).max() <= 1e-6
+        # scale = gamma / sqrt(var + eps): eps cast to float32, the add, the
+        # sqrt and the divide give it a relative error within gamma_4; then
+        # x * scale + (beta - mean * scale) takes at most three more on each
+        # term: within gamma_7 * (|x s| + |beta| + |mean s|) of the exact
+        # value, which the oracle rounds once more (gamma_8).
+        s = bn.gamma.astype(np.float64) / np.sqrt(bn.var.astype(np.float64) + bn.eps)
+        per_channel = (np.abs(bn.beta) + np.abs(bn.mean * s))[:, None, None]
+        terms = np.abs(x * s[:, None, None]) + per_channel
+        assert np.all(np.abs(fast.astype(np.float64) - ref) <= gamma(8) * terms)
 
     def test_length_mismatch_raises(self, rng):
         with pytest.raises(ShapeError):
@@ -460,7 +525,13 @@ class TestSmallOps:
     def test_matmul_matches_oracle(self, rng):
         a = rng.standard_normal((2, 3, 4, 5)).astype(DTYPE)
         b = rng.standard_normal((2, 3, 5, 6)).astype(DTYPE)
-        assert np.abs(matmul_batched(a, b) - oracle.ReferenceBackend().matmul_batched(a, b)).max() <= 1e-5
+        fast, ref = matmul_batched(a, b), oracle.ReferenceBackend().matmul_batched(a, b)
+        assert np.abs(fast - ref).max() <= 1e-5
+        # a float32 dot product of K = 5 terms in any order is within
+        # gamma_K * sum|a||b| of the exact value; the oracle rounds it once
+        # more from float64: gamma_{K+1}
+        acc = np.abs(a.astype(np.float64)) @ np.abs(b.astype(np.float64))
+        assert np.all(np.abs(fast.astype(np.float64) - ref) <= gamma(a.shape[-1] + 1) * acc)
 
     def test_matmul_inner_dim_mismatch(self, rng):
         with pytest.raises(ShapeError):
@@ -471,12 +542,44 @@ class TestSmallOps:
         gap = global_avg_pool(x)
         assert gap.shape == (2, 3, 1, 1)
         assert np.abs(gap[1, 2, 0, 0] - x[1, 2].mean()) <= 1e-6
+        # a float32 sum of N = h*w entries in any order is within
+        # gamma_{N-1} * sum|x| and the divide adds u: gamma_N * mean|x| of the
+        # exact mean; one more u covers the float64 reference's own error
+        x64 = x.astype(np.float64)
+        n = x.shape[2] * x.shape[3]
+        bound = gamma(n + 1) * np.abs(x64).mean(axis=(2, 3), keepdims=True)
+        assert np.all(np.abs(gap - x64.mean(axis=(2, 3), keepdims=True)) <= bound)
 
     def test_upsample_nearest(self):
         x = tensor4([[[[1.0, 2.0], [3.0, 4.0]]]])
         y = upsample_nearest(x)
         assert y.shape == (1, 1, 4, 4)
         assert y[0, 0].tolist() == [[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("source", ["contiguous", "channel slice"])
+    def test_upsample_nearest_equals_repeat(self, rng, n, source):
+        x = rand_input(rng, n, 14, 5, 6) * DTYPE(8)
+        x = split_channels(x, 2)[1] if source == "channel slice" else x[:, :7].copy()
+        assert x.flags.c_contiguous == (source == "contiguous" or n == 1)
+        x[0, 0, 0, :3] = [np.nan, -0.0, np.inf]
+        want = x.repeat(2, axis=2).repeat(2, axis=3)
+        got = upsample_nearest(x)
+        assert got.flags.c_contiguous and got.dtype == DTYPE
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_upsample_nearest_into_a_channel_slice(self, rng, n):
+        # the slot of a concat buffer: only the slot is written, bit for bit
+        x = rand_input(rng, n, 3, 4, 5)
+        buf = np.full((n, 8, 8, 10), np.nan, DTYPE)
+        slot = buf[:, 2:5]
+        assert upsample_nearest(x, out=slot) is slot
+        want = x.repeat(2, axis=2).repeat(2, axis=3)
+        assert np.array_equal(slot.view(np.uint32), want.view(np.uint32))
+        assert np.isnan(buf[:, :2]).all() and np.isnan(buf[:, 5:]).all()
+        with pytest.raises(ShapeError):
+            upsample_nearest(x, out=buf[:, :3, :, :9])
 
     def test_finite_outputs(self, rng):
         x = rand_input(rng, 1, 4, 6, 6)

@@ -8,10 +8,11 @@ Real values come from a WeightStore, which owns every array; binding points
 a block at them. Forward never mutates a block. Fixed architecture constants:
 BN eps from ``BNParams``, ``k // 2`` padding, DW expansion 2, SE reduction 4.
 
-Each block states its structure once. A leaf (``ConvBNAct``, ``ConvAct``,
-``RepVGGBlock``) lists its array attributes in ``ARRAYS``, in weight-name
-order, each attribute named as its weight-name segment; a ``BNParams``
-expands to gamma, beta, mean and var, and a ``None`` attribute is skipped.
+Each block states its structure once. A leaf (``ConvBNAct``, the one conv
+leaf, or ``RepVGGBlock``) lists its array attributes in ``ARRAYS``, in
+weight-name order, each attribute named as its weight-name segment; a
+``BNParams`` expands to gamma, beta, mean and var, and a ``None`` attribute
+is skipped.
 Every other block is a ``Composite`` and lists its children in
 ``CHILDREN``: (attribute, segment) pairs in weight-name order, which need
 not be forward order. A child's arrays are named ``<prefix>.<segment>``; a
@@ -21,12 +22,14 @@ yields (prefix, leaf) for every leaf; ``slots`` expands each leaf's
 ``ARRAYS`` into (name, owner, attribute, is_stat), where ``setattr(owner,
 attribute, array)`` binds the name, and ``named_arrays`` reads the slots.
 ``is_stat`` marks batchnorm running statistics: store entries, not
-learnable parameters. ``fuse()`` returns the inference-form structure,
-unbound and computing nothing: ``ConvBNAct`` and ``RepVGGBlock`` give a
-zero-view ``ConvAct`` over their (3x3) spec, ``ConvAct`` gives itself, and a
-composite a shallow copy holding its fused children. reparam.fuse_block
-folds the arrays into it. Each forward calls only tensor.py's hooked ops, so
-cost.py reads shapes and costs off a forward pass over zero views.
+learnable parameters. ``fuse()`` returns the inference-form structure and
+folds nothing: a ``ConvBNAct`` with batchnorm gives a copy with a biased
+spec, a zero-view ``b`` and no ``bn`` (its ``w`` is the fold's to set), one
+without batchnorm gives itself, a ``RepVGGBlock`` gives that fused
+``ConvBNAct`` over its 3x3 spec, unbound, and a composite a shallow copy
+holding its fused children. reparam.fuse_block folds the arrays into it. Each forward calls
+only tensor.py's hooked ops, so cost.py reads shapes and costs off a forward
+pass over zero views.
 
 Forward never writes into its input: it passes ``out=`` (tensor.py's
 ownership rule) only an array an op returned to it in the same forward, so
@@ -104,13 +107,15 @@ class Block:
 
 
 class ConvBNAct(Block):
-    """Convolution (no bias) + inference batchnorm + activation."""
+    """Convolution + batchnorm + activation. The fused form drops the
+    batchnorm for a conv bias: ``b`` is set exactly when ``bn`` is not."""
 
-    ARRAYS = ("w", "bn")
+    ARRAYS = ("w", "b", "bn")
 
     def __init__(self, c_in, c_out, k=1, stride=1, groups=1, act="silu"):
         self.spec = ConvSpec(c_in, c_out, k, stride, k // 2, groups, has_bias=False)
         self.w = zero_view(self.spec.weight_shape)
+        self.b = None
         self.bn = BNParams.identity(c_out)
         self.act = act
 
@@ -119,35 +124,18 @@ class ConvBNAct(Block):
         return self.spec.c_in
 
     def forward(self, x):
-        y = conv2d(x, self.spec, self.w)
-        return activation(batchnorm_infer(y, self.bn, out=y), self.act, out=y)
-
-    def fuse(self) -> "ConvAct":
-        s = self.spec
-        return ConvAct(s.c_in, s.c_out, s.k, s.stride, s.groups, self.act)
-
-
-class ConvAct(Block):
-    """Convolution with bias + activation: the fused (batchnorm-free) form."""
-
-    ARRAYS = ("w", "b")
-
-    def __init__(self, c_in, c_out, k=1, stride=1, groups=1, act="silu"):
-        self.spec = ConvSpec(c_in, c_out, k, stride, k // 2, groups, has_bias=True)
-        self.w = zero_view(self.spec.weight_shape)
-        self.b = zero_view((c_out,))
-        self.act = act
-
-    @property
-    def c_in(self):
-        return self.spec.c_in
-
-    def forward(self, x):
         y = conv2d(x, self.spec, self.w, self.b)
+        if self.bn is not None:
+            y = batchnorm_infer(y, self.bn, out=y)
         return activation(y, self.act, out=y)
 
-    def fuse(self) -> "ConvAct":
-        return self
+    def fuse(self) -> "ConvBNAct":
+        if self.bn is None:
+            return self
+        s, out = self.spec, copy.copy(self)
+        out.spec = ConvSpec(s.c_in, s.c_out, s.k, s.stride, s.padding, s.groups, has_bias=True)
+        out.b, out.bn = zero_view((s.c_out,)), None
+        return out
 
 
 class RepVGGBlock(Block):
@@ -184,8 +172,8 @@ class RepVGGBlock(Block):
             y = add(y, batchnorm_infer(x, self.bnid), out=y)
         return activation(y, "silu", out=y)
 
-    def fuse(self) -> ConvAct:
-        return ConvAct(self.spec3.c_in, self.spec3.c_out, 3, self.spec3.stride)
+    def fuse(self) -> ConvBNAct:
+        return ConvBNAct(self.spec3.c_in, self.spec3.c_out, 3, self.spec3.stride).fuse()
 
 
 class Composite(Block):
@@ -306,8 +294,8 @@ class SqueezeExcite(Composite):
     def __init__(self, c):
         if c % 4:
             raise ValueError(f"reduce ratio 4 must divide {c} channels")
-        self.fc1 = ConvAct(c, c // 4, 1, act="silu")
-        self.fc2 = ConvAct(c // 4, c, 1, act="sigmoid")
+        self.fc1 = ConvBNAct(c, c // 4, 1, act="silu").fuse()
+        self.fc2 = ConvBNAct(c // 4, c, 1, act="sigmoid").fuse()
 
     def forward(self, x):
         gate = self.fc2.forward(self.fc1.forward(global_avg_pool(x)))

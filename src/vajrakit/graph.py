@@ -35,7 +35,7 @@ import numpy as np
 
 from . import blocks as B
 from .cost import MetaBackend
-from .tensor import (ShapeError, check_tensor4, concat_channels, override_backend,
+from .tensor import (ShapeError, backend_op, check_tensor4, concat_channels, override_backend,
                      upsample_nearest, zero_view)
 
 _IO = {"in": "c_in", "out": "c_out"}
@@ -366,27 +366,21 @@ def _upsample_targets(nodes) -> dict:
 
 
 def _upsample(x: np.ndarray, nid: str, cat: BlockNode | None, live: dict, made: dict) -> np.ndarray:
-    """Upsample x for node `nid`. When `cat` is the concat it writes into and
-    the concat's other sources in `live` fit beside it, build the concat with a
-    zero placeholder in nid's slot and upsample into that slot; the concat
-    goes into `made` unless a backend returned its own upsample instead. If a
-    backend's concat returned an array that cannot be written, or a misfit,
-    the upsample is made alone and the concat node concatenates (and names a
-    misfit in its error)."""
+    """Upsample x for node `nid`. When `cat` is the concat it writes into, no
+    backend defines either op, and the concat's other sources in `live` fit
+    beside it, build the concat into `made` with a zero placeholder in nid's
+    slot and upsample into that slot. Otherwise the upsample is made alone and
+    the concat node concatenates (and names a misfit in its error), so a
+    backend sees each op once, as the graph states it."""
     n, c, h, w = x.shape
     shape = (n, c, 2 * h, 2 * w)
-    parts = [zero_view(shape) if s == nid else live[s] for s in cat.inputs] if cat else []
+    paired = cat and not (backend_op("upsample_nearest") or backend_op("concat_channels"))
+    parts = [zero_view(shape) if s == nid else live[s] for s in cat.inputs] if paired else []
     if not parts or any(p.shape[0] != n or p.shape[2:] != shape[2:] for p in parts):
         return upsample_nearest(x)
     c0 = sum(p.shape[1] for p in parts[:cat.inputs.index(nid)])
-    buf = concat_channels(parts)
-    if not buf.flags.writeable or 0 in buf.strides:  # a backend's read-only or shared array
-        return upsample_nearest(x)
-    slot = buf[:, c0:c0 + c]
-    y = upsample_nearest(x, out=slot)
-    if y is slot:
-        made[cat.id] = buf
-    return y
+    made[cat.id] = buf = concat_channels(parts)
+    return upsample_nearest(x, out=buf[:, c0:c0 + c])
 
 
 class Model:
@@ -430,13 +424,13 @@ class Model:
         The walk itself holds an output only until its last consumer has
         collected its inputs, and hands a block or upsample node its one input
         off the source list, so the node alone holds it while it runs (a block
-        drops its input after its last reader). An upsample node that
-        ``_upsample_targets`` pairs with a concat makes that concat's output
-        when it runs and writes its own into its channel slot: its output is
-        a view of the concat's, which the concat node then yields, and no
-        upsampled map is copied. A caller that needs an output longer keeps
-        its own reference, and should drop the ones it does not before
-        resuming."""
+        drops its input after its last reader). When no backend defines
+        either op, an upsample node that ``_upsample_targets`` pairs with a
+        concat makes that concat's output when it runs and writes its own
+        into its channel slot: its output is a view of the concat's, which
+        the concat node then yields, and no upsampled map is copied. A
+        caller that needs an output longer keeps its own reference, and
+        should drop the ones it does not before resuming."""
         check_tensor4(x, "model input")
         self.graph.check_input_channels(x.shape[1])
         nodes = self.graph.nodes

@@ -21,12 +21,12 @@ from .tensor import DTYPE, BNParams, ConvSpec, ShapeError
 from .weights import WeightStore, run_spans
 
 
-def fuse_conv_bn(spec: ConvSpec, weights: np.ndarray, bias: np.ndarray | None,
+def fuse_conv_bn(spec: ConvSpec, weights: np.ndarray,
                  bn: BNParams) -> tuple[np.ndarray, np.ndarray]:
-    """Fold batchnorm statistics into conv weights and bias.
+    """Fold batchnorm statistics into the weights of a bias-free conv.
 
     W' = W * gamma / sqrt(var + eps) per output channel,
-    b' = (b - mean) * gamma / sqrt(var + eps) + beta.
+    b' = (0 - mean) * gamma / sqrt(var + eps) + beta.
     """
     if bn.channels != spec.c_out:
         raise ValueError(f"BN has {bn.channels} channels, conv emits {spec.c_out}")
@@ -34,8 +34,7 @@ def fuse_conv_bn(spec: ConvSpec, weights: np.ndarray, bias: np.ndarray | None,
     if np.any(denom_sq <= 0):
         raise ValueError("var + eps must be positive to fold batchnorm")
     scale = bn.gamma / np.sqrt(denom_sq)
-    b = np.zeros(spec.c_out, DTYPE) if bias is None else np.asarray(bias, DTYPE)
-    return weights * scale[:, None, None, None], (b - bn.mean) * scale + bn.beta
+    return weights * scale[:, None, None, None], (DTYPE(0) - bn.mean) * scale + bn.beta
 
 
 def embed_kernel(weights: np.ndarray, target: int) -> np.ndarray:
@@ -76,14 +75,14 @@ def fuse_repvgg(block) -> tuple[np.ndarray, np.ndarray]:
     where adding the padding's ``+0.0`` made it ``+0.0`` (initialized
     weights never hold one).
     """
-    w, b3 = fuse_conv_bn(block.spec3, block.w3, None, block.bn3)
-    w1, b1 = fuse_conv_bn(block.spec1, block.w1, None, block.bn1)
+    w, b3 = fuse_conv_bn(block.spec3, block.w3, block.bn3)
+    w1, b1 = fuse_conv_bn(block.spec1, block.w1, block.bn1)
     w[:, :, 1, 1] += w1[:, :, 0, 0]
     b = b3 + b1
     if block.bnid is not None:
         spec_id = ConvSpec(block.spec3.c_in, block.spec3.c_out, 1, 1, 0)
         w_id = identity_kernel(spec_id.c_out, spec_id.c_in, 1)
-        wid, bid = fuse_conv_bn(spec_id, w_id, None, block.bnid)
+        wid, bid = fuse_conv_bn(spec_id, w_id, block.bnid)
         w[:, :, 1, 1] += wid[:, :, 0, 0]
         b = b + bid
     return w, b
@@ -91,11 +90,12 @@ def fuse_repvgg(block) -> tuple[np.ndarray, np.ndarray]:
 
 def _fold_leaf(leaf, out) -> None:
     """Set the folded arrays of `leaf` on `out`, its twin in ``fuse()``'s
-    structure; ConvAct leaves are their own twins and keep their arrays."""
-    if isinstance(leaf, B.ConvBNAct):
-        out.w, out.b = fuse_conv_bn(leaf.spec, leaf.w, None, leaf.bn)
-    elif isinstance(leaf, B.RepVGGBlock):
+    structure; a ``ConvBNAct`` without batchnorm is its own twin and keeps
+    its arrays."""
+    if isinstance(leaf, B.RepVGGBlock):
         out.w, out.b = fuse_repvgg(leaf)
+    elif leaf.bn is not None:
+        out.w, out.b = fuse_conv_bn(leaf.spec, leaf.w, leaf.bn)
 
 
 def _twins(block, fused):

@@ -31,8 +31,10 @@ returned array, which under a backend may be a new one (under
 ``cost.MetaBackend``, a read-only zero view that nothing writes). A block
 passes as ``out`` only a buffer it got from an op in the same forward and
 no longer reads otherwise: never a block input, a weight or a split part.
-``Model.walk`` passes ``upsample_nearest`` a channel slot of the concat it
-has just built, and uses that concat only if the op returned the slot.
+When no backend defines ``upsample_nearest`` or ``concat_channels``
+(``backend_op`` says which ops a backend defines), ``Model.walk`` builds a
+concat before its upsample and passes ``upsample_nearest`` its channel slot;
+otherwise a backend sees each op once, as the graph states it.
 """
 from __future__ import annotations
 
@@ -175,6 +177,11 @@ def override_backend(backend):
         _BACKEND.reset(token)
 
 
+def backend_op(name: str):
+    """The installed backend's method for hooked op `name`, or None if the fast path runs it."""
+    return getattr(_BACKEND.get(), name, None)
+
+
 def _hooked(op):
     """The one dispatch point: the installed backend's same-named method,
     called without ``out``, else `op`, which writes into ``out`` if given."""
@@ -182,7 +189,7 @@ def _hooked(op):
 
     @functools.wraps(op)
     def dispatch(*args, **kwargs):
-        method = getattr(_BACKEND.get(), name, None)
+        method = backend_op(name)
         if method is None:
             return op(*args, **kwargs)
         kwargs.pop("out", None)

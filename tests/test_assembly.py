@@ -17,7 +17,7 @@ from vajrakit import blocks as B
 from vajrakit import graph as graph_module
 from vajrakit import tensor
 from vajrakit import weights as weights_module
-from vajrakit.cost import graph_cost
+from vajrakit.cost import MetaBackend, graph_cost
 from vajrakit.graph import (
     ConfigError,
     Model,
@@ -1102,15 +1102,20 @@ class OwnConcat:
             return tensor.concat_channels(xs)
 
 
-class ReadOnlyConcat:
-    """A backend defining only concat_channels, which returns a new array
-    that cannot be written."""
+class RecordingMeta(MetaBackend):
+    """MetaBackend recording its concat and upsample calls, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
 
     def concat_channels(self, xs):
-        with override_backend(None):
-            y = tensor.concat_channels(xs)
-        y.flags.writeable = False
-        return y
+        self.calls.append("concat_channels")
+        return super().concat_channels(xs)
+
+    def upsample_nearest(self, x):
+        self.calls.append("upsample_nearest")
+        return super().upsample_nearest(x)
 
 
 class TestUpsampleIntoConcat:
@@ -1161,13 +1166,12 @@ class TestUpsampleIntoConcat:
         with pytest.raises(ShapeError, match="node 'cat'"):
             model.stage_outputs(np.zeros((1, 3, 15, 15), DTYPE))
 
-    @pytest.mark.parametrize("backend", [OwnUpsample, OwnConcat, ReadOnlyConcat])
+    @pytest.mark.parametrize("backend", [OwnUpsample, OwnConcat])
     @pytest.mark.parametrize("label", ["upsample middle in its concat", "N fused"])
     def test_backend_defining_one_of_the_two_ops(self, label, backend):
-        # a backend's upsample is never passed out= and returns its own
-        # array, so the concat is computed from it; a backend's concat gets
-        # the placeholder and the fast upsample writes into what it returned,
-        # unless that cannot be written: then the concat node concatenates
+        # a backend that defines either op is handed each op as the graph
+        # states it: the upsample is made alone and the concat node
+        # concatenates, so no upsample output is a view of its concat
         model, x = _liveness_case(label)
         want = _unfused_outputs(model, x)
         with override_backend(backend()):
@@ -1175,4 +1179,23 @@ class TestUpsampleIntoConcat:
         _assert_same_outputs(got, want)
         ups = [node for node in model.graph.nodes if node.kind == "upsample"]
         cats = {node.id: next(n.id for n in model.graph.nodes if node.id in n.inputs) for node in ups}
-        assert any(np.shares_memory(got[u], got[c]) for u, c in cats.items()) == (backend is OwnConcat)
+        assert not any(np.shares_memory(got[u], got[c]) for u, c in cats.items())
+
+    @pytest.mark.parametrize("label", [f"{scale} {form}" for scale in SCALES for form in ("train", "fused")])
+    def test_backend_sees_each_op_once(self, label, monkeypatch):
+        # a backend defining both ops sees the concats and upsamples, in the
+        # order, the walk makes when no upsample writes into its concat, and
+        # one upsample per node: no placeholder concat the graph does not state
+        model, x = _liveness_case(label)
+
+        def calls():
+            meta = RecordingMeta()
+            with override_backend(meta):
+                for _ in model.walk(x):
+                    pass
+            return meta.calls
+
+        got = calls()
+        monkeypatch.setattr(graph_module, "_upsample_targets", lambda nodes: {})
+        assert got == calls()
+        assert got.count("upsample_nearest") == sum(node.kind == "upsample" for node in model.graph.nodes)

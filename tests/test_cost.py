@@ -139,7 +139,7 @@ class TestAttentionCost:
 class TestBlockCounterEquality:
     @pytest.mark.parametrize("make", [
         lambda: B.ConvBNAct(8, 8, 3, 2),
-        lambda: B.ConvAct(8, 8, 3, 1),
+        lambda: B.ConvBNAct(8, 8, 3, 1).fuse(),
         lambda: B.RepVGGBlock(8, 8, identity=True),
         lambda: B.RepCSP(8, 8, 2),
         lambda: B.MerudandaX(8, 8, 2),

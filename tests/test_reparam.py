@@ -33,10 +33,9 @@ class TestFuseConvBN:
     def test_identity_statistics_change_nothing(self, rng):
         spec = ConvSpec(4, 6, 3, 1, 1)
         w = rng.standard_normal(spec.weight_shape).astype(DTYPE)
-        b = rng.standard_normal(6).astype(DTYPE)
-        fused_w, fused_b = fuse_conv_bn(spec, w, b, identity_bn(6))
+        fused_w, fused_b = fuse_conv_bn(spec, w, identity_bn(6))
         assert np.array_equal(fused_w, w)
-        assert np.array_equal(fused_b, b)
+        assert np.array_equal(fused_b, np.zeros(6, DTYPE))
         assert B.ConvBNAct(4, 6, 3).fuse().spec.has_bias
 
     def test_zero_gain_folds_to_beta(self, rng):
@@ -44,7 +43,7 @@ class TestFuseConvBN:
         w = rng.standard_normal(spec.weight_shape).astype(DTYPE)
         bn = BNParams(np.zeros(4, DTYPE), np.full(4, 2.5, DTYPE),
                       rng.standard_normal(4).astype(DTYPE), np.ones(4, DTYPE), 1e-3)
-        fused_w, fused_b = fuse_conv_bn(spec, w, None, bn)
+        fused_w, fused_b = fuse_conv_bn(spec, w, bn)
         assert np.all(fused_w == 0.0)
         assert np.array_equal(fused_b, bn.beta)
 
@@ -64,7 +63,7 @@ class TestFuseConvBN:
             spec = ConvSpec(4 * g, 6 * g, 3, 1, 1, groups=g)
             w = rng.standard_normal(spec.weight_shape).astype(DTYPE)
             bn = rand_bn(rng, spec.c_out)
-            fused_w, fused_b = fuse_conv_bn(spec, w, None, bn)
+            fused_w, fused_b = fuse_conv_bn(spec, w, bn)
             x = rand_input(rng, 2, spec.c_in, 7, 7)
             s = bn.gamma.astype(np.float64) / np.sqrt(bn.var.astype(np.float64) + bn.eps)
             mean, beta = (v.astype(np.float64)[None, :, None, None] for v in (bn.mean, bn.beta))
@@ -83,12 +82,12 @@ class TestFuseConvBN:
         bn = BNParams(np.ones(2, DTYPE), np.zeros(2, DTYPE), np.zeros(2, DTYPE),
                       np.zeros(2, DTYPE), eps=0.0)
         with pytest.raises(ValueError):
-            fuse_conv_bn(spec, np.zeros(spec.weight_shape, DTYPE), None, bn)
+            fuse_conv_bn(spec, np.zeros(spec.weight_shape, DTYPE), bn)
 
     def test_channel_mismatch_rejected(self):
         spec = ConvSpec(2, 4, 1)
         with pytest.raises(ValueError):
-            fuse_conv_bn(spec, np.zeros(spec.weight_shape, DTYPE), None, BNParams.identity(3))
+            fuse_conv_bn(spec, np.zeros(spec.weight_shape, DTYPE), BNParams.identity(3))
 
 
 class TestEmbedKernel:
@@ -137,7 +136,7 @@ class TestFuseRepVGG:
         blk.w3 = rng.standard_normal(blk.spec3.weight_shape).astype(DTYPE)
         blk.bn3 = rand_bn(rng, 6)
         fused_w, fused_b = fuse_repvgg(blk)
-        alone_w, alone_b = fuse_conv_bn(blk.spec3, blk.w3, None, blk.bn3)
+        alone_w, alone_b = fuse_conv_bn(blk.spec3, blk.w3, blk.bn3)
         assert np.array_equal(fused_w, alone_w)
         assert np.array_equal(fused_b, alone_b)
 
@@ -169,11 +168,11 @@ class TestFuseRepVGG:
                 blk.bnid = rand_bn(rng, c)
             # the in-place centre-tap fold is bitwise the padded-kernel sum
             w = fuse_repvgg(blk)[0]
-            want = (fuse_conv_bn(blk.spec3, blk.w3, None, blk.bn3)[0]
-                    + embed_kernel(fuse_conv_bn(blk.spec1, blk.w1, None, blk.bn1)[0], 3))
+            want = (fuse_conv_bn(blk.spec3, blk.w3, blk.bn3)[0]
+                    + embed_kernel(fuse_conv_bn(blk.spec1, blk.w1, blk.bn1)[0], 3))
             if identity:
                 spec_id = ConvSpec(c, c, 1, 1, 0)
-                want = want + embed_kernel(fuse_conv_bn(spec_id, identity_kernel(c, c, 1), None, blk.bnid)[0], 3)
+                want = want + embed_kernel(fuse_conv_bn(spec_id, identity_kernel(c, c, 1), blk.bnid)[0], 3)
             assert w.tobytes() == want.tobytes()
             fused = fuse_block(blk)
             x = rand_input(rng, 2, c, 16, 16)

@@ -473,30 +473,84 @@ class TestActivation:
             assert np.isfinite(activation(x, kind)).all()
 
 
+EXP_ULPS = 4  # numpy's float32 exp, assumed accurate to 4 ulp
+TINY = float(np.finfo(DTYPE).smallest_subnormal)
+
+
+def _softmax64(m):
+    """Softmax of float64 rows: within a few float64 roundings of exact."""
+    z = np.exp(m - m.max(axis=-1, keepdims=True))
+    return z / z.sum(axis=-1, keepdims=True)
+
+
+def softmax_bound(m, p):
+    """The derived bound on |softmax_lastdim(m) - p| per output, for p the
+    exact softmax of the float32 rows m, as perfbench/gate.py derives it
+    (first order in u): m - max(m), rounded once, costs exp a relative
+    |m - max(m)|*u, and exp itself 2*EXP_ULPS*u; summing K terms adds
+    gamma_{K-1} and dividing u (one u to spare against an exact p, which
+    pays for a p rounded once to float32, as the oracle's is). So twice the
+    row's worst exp error (numerator and sum) plus gamma_{K+1}, relative to
+    p, times 1.01 for the second-order terms, plus (K + 3) subnormals for
+    gradual underflow."""
+    k = m.shape[-1]
+    m64 = np.asarray(m, np.float64)
+    shift = (m64.max(axis=-1, keepdims=True) - m64.min(axis=-1, keepdims=True)) * U
+    return 1.01 * (2 * (shift + 2 * EXP_ULPS * U) + gamma(k + 1)) * np.abs(p) + (k + 3) * TINY
+
+
 class TestSoftmax:
     def test_uniform_row(self):
         m = np.zeros((3, 5), DTYPE)
-        assert np.abs(softmax_lastdim(m) - 0.2).max() <= 1e-7
+        out = softmax_lastdim(m)
+        assert np.abs(out - 0.2).max() <= 1e-7
+        # the float64 constant 0.2 is within 2**-53 * 0.2 of 1/5
+        assert np.all(np.abs(out.astype(np.float64) - 0.2) <= softmax_bound(m, 0.2) + 2.0 ** -53 * 0.2)
 
     def test_closed_form_quarter(self):
         m = np.array([[0.0, np.log(3.0)]], DTYPE)
         out = softmax_lastdim(m)
         assert np.abs(out - [0.25, 0.75]).max() <= 1e-6
+        # fl(log 3) is within u*log 3 of log 3 (first order; 1.01 covers the
+        # float64 rounding before it), and moving the second logit by d moves
+        # each output of the exact softmax [1/4, 3/4] by p1*p2*|d| = 3/16*|d|;
+        # 0.25 and 0.75 are exact
+        want = np.array([[0.25, 0.75]])
+        moved = 1.01 * 3 / 16 * U * np.log(3.0)
+        assert np.all(np.abs(out.astype(np.float64) - want) <= softmax_bound(m, want) + moved)
 
     def test_shift_invariance(self, rng):
         m = rng.standard_normal((4, 7)).astype(DTYPE)
         shifted = (m + DTYPE(13.5)).astype(DTYPE)
-        assert np.abs(softmax_lastdim(m) - softmax_lastdim(shifted)).max() <= 1e-6
+        a, b = softmax_lastdim(m), softmax_lastdim(shifted)
+        assert np.abs(a - b).max() <= 1e-6
+        # fl(m + 13.5) moves each logit by d_j, |d_j| <= u*|m_j + 13.5|, which
+        # moves output i of the exact softmax p by p_i*(d_i - sum_j p_j d_j),
+        # at most 2*p_i*max|d| (first order)
+        m64 = m.astype(np.float64)
+        p = _softmax64(m64)
+        moved = 1.01 * 2 * U * np.abs(m64 + 13.5).max(axis=-1, keepdims=True) * p
+        bound = softmax_bound(m, p) + softmax_bound(shifted, p) + moved
+        assert np.all(np.abs(a.astype(np.float64) - b) <= bound)
 
     def test_rows_sum_to_one(self, rng):
         m = (rng.standard_normal((2, 3, 9)) * 10).astype(DTYPE)
         out = softmax_lastdim(m)
         assert np.all(out >= 0)
-        assert np.abs(out.sum(axis=-1) - 1.0).max() <= 1e-6
+        sums = out.sum(axis=-1)
+        assert np.abs(sums - 1.0).max() <= 1e-6
+        # the exact softmax sums to 1; the K float32 outputs are each within
+        # softmax_bound of it, their float32 sum adds gamma_{K-1} of itself,
+        # and subtracting 1 from a sum in [1/2, 2] is exact
+        err = softmax_bound(m, _softmax64(m.astype(np.float64))).sum(axis=-1)
+        assert np.all(np.abs(sums - 1.0) <= err + gamma(m.shape[-1] - 1) * (1 + err))
 
     def test_matches_naive_oracle(self, rng):
         m = (rng.standard_normal((5, 8)) * 3).astype(DTYPE)
-        assert np.abs(softmax_lastdim(m) - oracle.softmax_naive(m)).max() <= 1e-6
+        fast, ref = softmax_lastdim(m), oracle.softmax_naive(m)
+        assert np.abs(fast - ref).max() <= 1e-6
+        # the oracle rounds a float64 softmax to float32 once
+        assert np.all(np.abs(fast.astype(np.float64) - ref) <= softmax_bound(m, ref))
 
 
 class TestSmallOps:

@@ -23,11 +23,11 @@ yields (prefix, leaf) for every leaf; ``slots`` expands each leaf's
 attribute, array)`` binds the name, and ``named_arrays`` reads the slots.
 ``is_stat`` marks batchnorm running statistics: store entries, not
 learnable parameters. ``fuse()`` returns the inference-form structure and
-folds nothing: a ``ConvBNAct`` with batchnorm gives a copy with a biased
-spec, a zero-view ``b`` and no ``bn`` (its ``w`` is the fold's to set), one
-without batchnorm gives itself, a ``RepVGGBlock`` gives that fused
-``ConvBNAct`` over its 3x3 spec, unbound, and a composite a shallow copy
-holding its fused children. reparam.fuse_block folds the arrays into it. Each forward calls
+folds nothing: a ``ConvBNAct`` with batchnorm gives ``ConvBNAct.fused``,
+built directly over the same geometry (a biased spec, zero-view ``w`` and
+``b``, no ``bn``), one without batchnorm gives itself, a ``RepVGGBlock``
+gives the same over its 3x3 spec, and a composite a shallow copy holding
+its fused children. reparam.fuse_block folds the arrays into it. Each forward calls
 only tensor.py's hooked ops, so cost.py reads shapes and costs off a forward
 pass over zero views.
 
@@ -129,13 +129,23 @@ class ConvBNAct(Block):
             y = batchnorm_infer(y, self.bn, out=y)
         return activation(y, self.act, out=y)
 
+    @classmethod
+    def fused(cls, c_in, c_out, k=1, stride=1, groups=1, act="silu") -> "ConvBNAct":
+        """The fused form, built directly: a biased spec, zero-view ``w`` and
+        ``b``, and no batchnorm."""
+        leaf = cls.__new__(cls)
+        leaf.spec = ConvSpec(c_in, c_out, k, stride, k // 2, groups, has_bias=True)
+        leaf.w = zero_view(leaf.spec.weight_shape)
+        leaf.b = zero_view((c_out,))
+        leaf.bn = None
+        leaf.act = act
+        return leaf
+
     def fuse(self) -> "ConvBNAct":
         if self.bn is None:
             return self
-        s, out = self.spec, copy.copy(self)
-        out.spec = ConvSpec(s.c_in, s.c_out, s.k, s.stride, s.padding, s.groups, has_bias=True)
-        out.b, out.bn = zero_view((s.c_out,)), None
-        return out
+        s = self.spec
+        return ConvBNAct.fused(s.c_in, s.c_out, s.k, s.stride, s.groups, self.act)
 
 
 class RepVGGBlock(Block):
@@ -173,7 +183,7 @@ class RepVGGBlock(Block):
         return activation(y, "silu", out=y)
 
     def fuse(self) -> ConvBNAct:
-        return ConvBNAct(self.spec3.c_in, self.spec3.c_out, 3, self.spec3.stride).fuse()
+        return ConvBNAct.fused(self.spec3.c_in, self.spec3.c_out, 3, self.spec3.stride)
 
 
 class Composite(Block):
@@ -294,8 +304,8 @@ class SqueezeExcite(Composite):
     def __init__(self, c):
         if c % 4:
             raise ValueError(f"reduce ratio 4 must divide {c} channels")
-        self.fc1 = ConvBNAct(c, c // 4, 1, act="silu").fuse()
-        self.fc2 = ConvBNAct(c // 4, c, 1, act="sigmoid").fuse()
+        self.fc1 = ConvBNAct.fused(c, c // 4, 1, act="silu")
+        self.fc2 = ConvBNAct.fused(c // 4, c, 1, act="sigmoid")
 
     def forward(self, x):
         gate = self.fc2.forward(self.fc1.forward(global_avg_pool(x)))

@@ -1,9 +1,11 @@
 """Command-line front end: describe | cost | reparam-check | forward | selftest.
 
 Exit codes: 0 success, 1 validation or tolerance failure, 2 usage error.
-All output is reproducible byte-for-byte for fixed flags and seed; forward
-output also needs a fixed BLAS thread count, since a GEMM's summation order
-follows how the BLAS splits it across threads.
+All output is reproducible byte-for-byte for fixed flags and seed. Forward
+output for one image also needs a fixed BLAS thread count, since a GEMM's
+summation order follows how the BLAS splits it across threads. A batch runs
+with the BLAS at one thread, as one image run per usable CPU, so its bytes
+need a fixed number of runs instead.
 """
 from __future__ import annotations
 
@@ -205,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_reparam_check)
 
     p = sub.add_parser("forward", help="run the graph, write stage outputs as VJW1 tensors "
-                                       "(bytes reproducible at a fixed BLAS thread count)")
+                                       "(bytes reproducible at a fixed BLAS thread count for one "
+                                       "image, at a fixed usable CPU count for a batch)")
     add_common(p, "1x3x640x640", with_weights=True, with_seed=True)
     p.add_argument("--input", help="VJW1 file holding the input tensor (overrides --shape)")
     p.add_argument("--out", default="forward_out.vjw", help="output tensor file")

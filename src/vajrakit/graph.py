@@ -27,16 +27,20 @@ gives each node's output (c, h, w) and cost ``Tally`` with no storage.
 """
 from __future__ import annotations
 
+import contextlib
+import functools
 import inspect
+import threading
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import blocks as B
+from . import weights
 from .cost import MetaBackend
-from .tensor import (ShapeError, backend_op, check_tensor4, concat_channels, override_backend,
-                     upsample_nearest, zero_view)
+from .tensor import (DTYPE, RUNS, ShapeError, backend_op, check_tensor4, concat_channels,
+                     installed_backend, override_backend, upsample_nearest, zero_view)
 
 _IO = {"in": "c_in", "out": "c_out"}
 # kind -> (block class, or None for the parameter-free kinds;
@@ -418,7 +422,7 @@ class Model:
                            f"e.g. {sorted(extra)[0]!r}")
         return self
 
-    def walk(self, x: np.ndarray):
+    def walk(self, x: np.ndarray, place=None):
         """Run the graph in node order, yielding (node, output) per node.
 
         The walk itself holds an output only until its last consumer has
@@ -428,9 +432,11 @@ class Model:
         either op, an upsample node that ``_upsample_targets`` pairs with a
         concat makes that concat's output when it runs and writes its own
         into its channel slot: its output is a view of the concat's, which
-        the concat node then yields, and no upsampled map is copied. A
-        caller that needs an output longer keeps its own reference, and
-        should drop the ones it does not before resuming."""
+        the concat node then yields, and no upsampled map is copied. With
+        `place`, each output y is replaced by ``place(node, y)``, which the
+        walk then holds for later nodes and yields (``_pass`` stores outputs
+        through it). A caller that needs an output longer keeps its own
+        reference, and should drop the ones it does not before resuming."""
         check_tensor4(x, "model input")
         self.graph.check_input_channels(x.shape[1])
         nodes = self.graph.nodes
@@ -451,36 +457,83 @@ class Model:
                     y = self.blocks[node.id].forward(srcs.pop())
             except (ValueError, ShapeError) as e:
                 raise ShapeError(f"node '{node.id}': {e}") from None
+            if place is not None:
+                y = place(node, y)
             if node.id in last_use:
                 live[node.id] = y
             yield node, y
             del y
 
+    def _pass(self, x: np.ndarray, key: dict, outs: dict) -> dict:
+        """Set outs[key[node.id]] to the output of each node in `key`, over
+        one pass of x, and return outs.
+
+        A batch of n >= 2 images runs with numpy's OpenBLAS held at one
+        thread, as min(n, usable CPUs) image runs (``weights.run_spans``),
+        each a walk over a contiguous slice of the batch, joined once at the
+        end. Each run's transient bands are one run's divided by the run
+        count (``tensor.RUNS``), so the runs together peak where one walk
+        does. With two or more runs, a run writes each keyed output into its
+        slice of one (n, c, h, w) array, which the first run to reach that
+        node allocates, and walks on with that slice, so no run holds a
+        second copy. A batched image's bytes depend on the run count (it
+        sets the GEMM band widths), never on the BLAS thread count. A batch
+        of one, a pass under an installed backend, or a BLAS with no thread
+        setter takes one walk on the caller, as it always has."""
+        check_tensor4(x, "model input")
+        n = x.shape[0]
+        hold = weights.one_blas_thread() if n > 1 and installed_backend() is None else None
+        runs = 1 if hold is None else min(n, weights._usable_cpus())
+
+        def place(node, y):
+            if node.id in key:
+                outs[key[node.id]] = y
+            return y
+
+        lock = threading.Lock()
+
+        def place_slice(i, j, node, y):
+            if node.id not in key:
+                return y
+            with lock:  # the first run to reach the node allocates its array
+                full = outs[key[node.id]]
+                if full is None:
+                    full = outs[key[node.id]] = np.empty((n, *y.shape[1:]), DTYPE)
+            full[i:j] = y
+            return full[i:j]
+
+        def run(i, j):
+            RUNS.set(runs)  # in this run's own copy of the caller's context
+            for node, y in self.walk(x[i:j], functools.partial(place_slice, i, j)):
+                del y
+
+        with hold or contextlib.nullcontext():
+            if runs == 1:
+                for node, y in self.walk(x, place):
+                    del y
+            else:  # each image weighs one whole span, so run_spans makes `runs` runs
+                weights.run_spans(run, [weights._MIN_SPAN] * n)
+        return outs
+
     def forward(self, x: np.ndarray) -> dict:
         """Run the graph; returns node id -> output for every node, all of
-        them held until the pass ends (see stage_outputs for the lean run)."""
-        outs = {"input": x}
-        for node, y in self.walk(x):
-            outs[node.id] = y
-        return outs
+        them held until the pass ends (see stage_outputs for the lean run).
+        A batch runs as image runs on every core (``_pass``)."""
+        return self._pass(x, {node.id: node.id for node in self.graph.nodes},
+                          {"input": x, **{node.id: None for node in self.graph.nodes}})
 
     def stage_outputs(self, x: np.ndarray) -> dict:
         """Map stage tag -> output of the last node carrying that tag, in order
         of each tag's first node; for an untagged graph, the final node's output
         under its id. A pass holds an output only while a later node reads it or
         it is one of those returned, so an output a later node of its tag
-        supersedes is dropped at its last reader."""
+        supersedes is dropped at its last reader. A batch runs as image runs
+        on every core (``_pass``)."""
         nodes = self.graph.nodes
         last = {node.stage: node for node in nodes if node.stage is not None}
         if not last:
             last = {nodes[-1].id: nodes[-1]}
-        key = {node.id: k for k, node in last.items()}
-        outs = dict.fromkeys(last)
-        for node, y in self.walk(x):
-            if node.id in key:
-                outs[key[node.id]] = y
-            del y
-        return outs
+        return self._pass(x, {node.id: k for k, node in last.items()}, dict.fromkeys(last))
 
 
 def forward_graph(graph: ModelGraph, store, x: np.ndarray) -> dict:

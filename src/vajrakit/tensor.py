@@ -10,7 +10,8 @@ views of its input.
 Dense convolution is a BLAS matmul over the im2col patch matrix, built one
 band of output rows at a time straight from the unpadded input (zeros where
 a tap falls in the padding) and multiplied into its slice of the output. A
-band is at most TILE_BYTES and at most the rows a MIN_SITES-wide GEMM needs.
+band is at most TILE_BYTES and at most the rows a MIN_SITES-wide GEMM needs,
+divided among the image runs (``RUNS``) that share a batched pass.
 A 1x1 stride-1 unpadded conv multiplies a reshape of the input, with no copy.
 Grouped and depthwise convolution accumulate one small contraction per
 kernel tap over shifted, strided views of the padded input. Pooling is a
@@ -177,6 +178,11 @@ def override_backend(backend):
         _BACKEND.reset(token)
 
 
+def installed_backend():
+    """The backend ``override_backend`` installed, or None on the fast path."""
+    return _BACKEND.get()
+
+
 def backend_op(name: str):
     """The installed backend's method for hooked op `name`, or None if the fast path runs it."""
     return getattr(_BACKEND.get(), name, None)
@@ -256,6 +262,13 @@ def _window_reduce(xp: np.ndarray, k: int, stride: int, ho: int, wo: int, ufunc)
 TILE_BYTES = 4 << 20
 MIN_SITES = 1024
 
+# How many image runs share the pass (``Model._pass`` sets it in each batched
+# run's context). Dense conv bands and SiLU bands are one run's sizes
+# divided by it, rounded up, so the runs' transients together take what one
+# run's would: with full-size bands, two runs' im2col tiles at P3's 20x20
+# 3x3 convs took preset M train, batch 4 @160, from 20.14 to 21.12 MB.
+RUNS: contextvars.ContextVar = contextvars.ContextVar("vajrakit_runs", default=1)
+
 
 def _valid(shift: int, size: int, stride: int, start: int, count: int) -> tuple[int, int]:
     """The range [a, b) of t in [0, count) with (start + t) * stride + shift
@@ -280,7 +293,7 @@ def _dense_conv(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, out: np.ndar
         np.matmul(wmat, x.reshape(n, c, h * w), out=out)  # a view of x; no copy
         return
     tiles = -(-ho // max(1, TILE_BYTES // (c * k * k * wo * x.itemsize)))
-    band = min(-(-MIN_SITES // wo), -(-ho // tiles))
+    band = -(-min(-(-MIN_SITES // wo), -(-ho // tiles)) // RUNS.get())
     # a tap's padding columns are the same in every band, never written and
     # so zero from here on; its padding rows differ per band and are zeroed
     # where they fall
@@ -442,10 +455,11 @@ def activation(x: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.nd
     if kind != "silu":
         raise ValueError(f"unknown activation {kind!r}")
     out = _out(out, x.shape)
-    scratch = np.empty(min(SILU_BAND, x.size), DTYPE)
+    band = -(-SILU_BAND // RUNS.get())
+    scratch = np.empty(min(band, x.size), DTYPE)
     for t, y in _rows(x, out):
-        for i in range(0, t.size, SILU_BAND):
-            h = np.multiply(t[i:i + SILU_BAND], DTYPE(0.5), out=y[i:i + SILU_BAND])
+        for i in range(0, t.size, band):
+            h = np.multiply(t[i:i + band], DTYPE(0.5), out=y[i:i + band])
             th = np.tanh(h, out=scratch[:h.size])
             th += DTYPE(1)
             h *= th

@@ -20,17 +20,22 @@ middle element, so small jobs stay on the calling thread. ``init_weights``
 runs its kernels' draws this way, ``reparam_graph`` the leaves of every
 block (by their arrays' sizes) and ``load`` the tensors of the file, read by
 ``os.preadv`` on its one descriptor. Each run's result depends on nothing
-but its arrays, so the bytes do not depend on the split.
+but its arrays, so the bytes do not depend on the split. A batched forward
+pass runs its images this way too, with OpenBLAS held at one thread
+(``one_blas_thread``).
 """
 from __future__ import annotations
 
 import bisect
+import contextlib
 import contextvars
+import ctypes
 import functools
 import itertools
 import math
 import os
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -165,7 +170,9 @@ def run_spans(work, sizes) -> None:
     middle element. A single run goes on the calling thread. More run one
     thread each, in a copy of the caller's context (so an
     ``override_backend`` set by the caller holds there too); every worker is
-    joined before return, and a worker's error is raised in the caller."""
+    joined before return, and a worker's error is raised in the caller. A
+    batched forward pass (``graph.Model._pass``) gives each image the weight
+    of one whole span, so it gets one run per image up to the CPU count."""
     total = sum(sizes)
     parts = max(1, min(_usable_cpus(), total // _MIN_SPAN))
     starts = itertools.accumulate(sizes, initial=0)
@@ -179,6 +186,62 @@ def run_spans(work, sizes) -> None:
         futures = [pool.submit(contextvars.copy_context().run, work, i, j) for i, j in runs]
         for done in futures:
             done.result()  # re-raises a worker's error
+
+
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of the OpenBLAS that numpy loaded, read
+    from the libraries mapped into this process, or None where none has both
+    (or there is no /proc). The only code that calls into the BLAS library."""
+    try:
+        with open("/proc/self/maps") as f:
+            libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for prefix, suffix in itertools.product(("scipy_openblas", "openblas"), ("64_", "")):
+            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+class _BlasHold:
+    """Open holds of OpenBLAS at one thread, and the count to restore when
+    the last one closes."""
+
+    lock = threading.Lock()
+    open = 0
+    restore = 1
+
+
+def one_blas_thread():
+    """A context that holds numpy's OpenBLAS at one thread, or None when the
+    loaded library has no thread setter. Holds are counted and thread-safe:
+    the first to open saves the caller's count, the last to close restores
+    it, so nested and concurrent holds leave it as they found it."""
+    calls = _openblas()
+    return None if calls is None else _hold_one_thread(*calls)
+
+
+@contextlib.contextmanager
+def _hold_one_thread(get, put):
+    with _BlasHold.lock:
+        if _BlasHold.open == 0:
+            _BlasHold.restore = get()
+            put(1)
+        _BlasHold.open += 1
+    try:
+        yield
+    finally:
+        with _BlasHold.lock:
+            _BlasHold.open -= 1
+            if _BlasHold.open == 0:
+                put(_BlasHold.restore)
 
 
 def _read_span(fd: int, arrays, positions, i: int, j: int) -> None:

@@ -1199,3 +1199,132 @@ class TestUpsampleIntoConcat:
         monkeypatch.setattr(graph_module, "_upsample_targets", lambda nodes: {})
         assert got == calls()
         assert got.count("upsample_nearest") == sum(node.kind == "upsample" for node in model.graph.nodes)
+
+
+_BLAS = weights_module._openblas()
+
+
+class OpLog:
+    """A backend defining every hooked op: logs each op's name and runs the
+    fast path."""
+
+    def __init__(self):
+        self.names = []
+
+    def __getattr__(self, name):
+        fast = getattr(tensor, name)
+
+        def op(*args, **kwargs):
+            self.names.append(name)
+            with override_backend(None):
+                return fast(*args, **kwargs)
+        return op
+
+
+def _batch(label, n, seed=6):
+    """(bound model, n x 3 x 64 x 64 input) for a preset case of _liveness_case."""
+    model, _ = _liveness_case(label)
+    return model, np.random.default_rng(seed).standard_normal((n, 3, 64, 64)).astype(DTYPE)
+
+
+@pytest.mark.skipif(_BLAS is None, reason="the loaded BLAS has no thread setter")
+class TestBatchedPass:
+    LABELS = ["N fused", "M train"]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("label", LABELS)
+    def test_stage_outputs_equal_forward_tagged(self, label, n, cpus, monkeypatch):
+        # min(n, cpus) image runs: both methods write each output they return
+        # into one whole (n, c, h, w) array, bit for bit the same
+        monkeypatch.setattr(weights_module, "_usable_cpus", lambda: cpus)
+        model, x = _batch(label, n)
+        got = model.stage_outputs(x)
+        _assert_same_outputs(got, _tagged_from_forward(model, x))
+        assert all(y.shape[0] == n and y.flags.c_contiguous for y in got.values())
+
+    @pytest.mark.parametrize("label", LABELS)
+    def test_image_bytes_depend_only_on_the_run_count(self, label, monkeypatch):
+        # two runs of two images, then two runs of one: each image's bytes
+        # are the same, whichever images share its run
+        monkeypatch.setattr(weights_module, "_usable_cpus", lambda: 2)
+        model, x = _batch(label, 4)
+        got = model.stage_outputs(x)
+        for b in range(4):
+            alone = model.stage_outputs(x[[b, b]])
+            for tag, y in alone.items():
+                assert np.array_equal(y[0].view(np.uint32), got[tag][b].view(np.uint32)), (b, tag)
+
+    def test_one_walk_without_a_blas_thread_setter(self, monkeypatch):
+        # no setter: one walk on the caller, bit for bit as under a backend
+        # that defines no op, and no runs (run_spans is not called)
+        monkeypatch.setattr(weights_module, "_usable_cpus", lambda: 2)
+        model, x = _batch("N fused", 2)
+        with override_backend(object()):
+            want = model.stage_outputs(x)
+        monkeypatch.setattr(weights_module, "_openblas", lambda: None)
+        monkeypatch.setattr(weights_module, "run_spans", None)
+        _assert_same_outputs(model.stage_outputs(x), want)
+
+    def test_blas_count_restored_after_a_pass_and_after_a_failed_run(self, monkeypatch):
+        get, _ = _BLAS
+        before = get()
+        monkeypatch.setattr(weights_module, "_usable_cpus", lambda: 2)
+        model, x = _batch("N fused", 2)
+        model.stage_outputs(x)
+        assert get() == before
+        graph, _ = parse_config(UPSAMPLE_GRAPHS["upsample first in its concat"])
+        model = Model(graph).bind(init_weights(graph, 0))
+        with pytest.raises(ShapeError, match="node 'cat'"):
+            model.stage_outputs(np.zeros((2, 3, 15, 15), DTYPE))
+        assert get() == before
+
+    def test_runs_read_returned_outputs_back_from_their_slices(self, monkeypatch):
+        # a node that reads an output the pass returns is handed its run's
+        # slice of the returned array, so no run holds a copy of its own
+        monkeypatch.setattr(weights_module, "_usable_cpus", lambda: 2)
+        model, x = _batch("M train", 4)
+        nodes = model.graph.nodes
+        tag = {node.id: stage for stage, node in {n.stage: n for n in nodes if n.stage is not None}.items()}
+        seen = []
+
+        class Recorded:
+            def __init__(self, block, src):
+                self.block, self.src = block, src
+
+            def forward(self, y):
+                seen.append((self.src, y))
+                return self.block.forward(y)
+
+        readers = [node for node in nodes if node.kind not in ("concat", "upsample") and node.inputs[0] in tag]
+        for node in readers:
+            model.blocks[node.id] = Recorded(model.blocks[node.id], node.inputs[0])
+        outs = model.stage_outputs(x)
+        assert len(seen) == 2 * len(readers) > 0
+        for src, y in seen:
+            assert y.shape[0] == 2 and np.shares_memory(y, outs[tag[src]]), src
+
+    @pytest.mark.parametrize("label", LABELS)
+    def test_backend_sees_the_op_sequence_of_one_walk(self, label, monkeypatch):
+        # a backend is installed: the batch is not split into runs
+        monkeypatch.setattr(weights_module, "_usable_cpus", lambda: 2)
+        logs = []
+        for n in (1, 2):
+            model, x = _batch(label, n)
+            log = OpLog()
+            with override_backend(log):
+                model.stage_outputs(x)
+            logs.append(log.names)
+        assert logs[0] == logs[1] and len(logs[0]) > 0
+
+    def test_two_runs_peak_within_one_run(self, monkeypatch):
+        # the runs share one run's transient bands, so two of them running
+        # side by side peak no higher than one run of the whole batch, give
+        # or take the tolerance of test_peak_within_live_plus_transient_table
+        model, x = _batch("M train", 4)
+        peaks = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(weights_module, "_usable_cpus", lambda cpus=cpus: cpus)
+            model.stage_outputs(x)  # warm
+            peaks[cpus] = _traced_peak(lambda: model.stage_outputs(x))
+        assert peaks[2] <= peaks[1] + (16 << 10)

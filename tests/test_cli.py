@@ -327,3 +327,22 @@ class TestSelftestAndUsage:
     def test_missing_required_flag_is_usage_error(self):
         code, _, _ = run_cli("describe")
         assert code == 2
+
+
+def test_batched_forward_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # A batch runs with OpenBLAS held at one thread, so its forward bytes do
+    # not depend on the count set in each child's environment (single-image
+    # forward bytes do; see the test above).
+    for scale in ("N", "X"):
+        cfg = tmp_path / f"{scale}.cfg"
+        cfg.write_text(preset_text(scale), "utf-8")
+        outs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"{scale}-{threads}.vjw"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run([sys.executable, "-m", "vajrakit.cli", "forward", "--config", str(cfg),
+                                   "--seed", "9", "--shape", "2x3x96x128", "--out", str(out)],
+                                  capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outs[threads] = out.read_bytes()
+        assert outs["1"] == outs["2"], scale

@@ -1,4 +1,5 @@
 """Tensor-core ops: worked examples, oracle agreement, invariants."""
+import math
 import tracemalloc
 
 import numpy as np
@@ -256,6 +257,28 @@ class TestConv2dDerivedBound:
         assert sum(sites for sites, _, _ in tiles) == 2 * ho * wo
         assert len(tiles) == 2 * -(-ho // self._band(c_in, k, ho, wo))
 
+    @pytest.mark.parametrize("runs", [2, 3])
+    @pytest.mark.parametrize("c_in,c_out,k,stride,padding,h,w_", MULTI_TILE + [(8, 2, 3, 1, 1, 13, 200)])
+    def test_dense_bands_shared_by_runs(self, rng, monkeypatch, runs, c_in, c_out, k, stride, padding, h, w_):
+        # a batched pass's image runs each take one run's band divided by
+        # the run count, rounded up: that many GEMMs per image, still within
+        # the derived bound
+        spec = ConvSpec(c_in, c_out, k, stride, padding)
+        ho, wo = conv_out_hw(h, w_, k, stride, padding)
+        gemms, matmul = [], np.matmul
+
+        def spy(a, b, **kwargs):
+            gemms.append(b.shape[1])
+            return matmul(a, b, **kwargs)
+        monkeypatch.setattr(np, "matmul", spy)
+        token = tensor.RUNS.set(runs)
+        try:
+            self._check(rng, spec, h, w_)
+        finally:
+            tensor.RUNS.reset(token)
+        band = -(-self._band(c_in, k, ho, wo) // runs)
+        assert len(gemms) == 2 * -(-ho // band) and sum(gemms) == 2 * ho * wo
+
     def test_dense_peak_memory_under_half_the_patch_matrix(self, rng):
         spec = ConvSpec(32, 16, 3, 1, 1)
         x = rand_input(rng, 1, 32, 128, 128)
@@ -314,17 +337,29 @@ class TestPool2d:
         assert y[0, 0].tolist() == [[6.0, 8.0], [14.0, 16.0]]
 
     def test_agrees_with_loop_oracle(self, rng):
+        # max rounds nothing, so it is exact; avg is within the bound that
+        # test_avg_within_derived_bound derives, gamma_{K+3} * mean|x|
         x = rand_input(rng, 2, 3, 9, 9)
         for kind in ("avg", "max"):
             for include in (True, False):
                 fast = pool2d(x, kind, 3, 2, 1, include_pad=include)
                 ref = oracle.pool2d_naive(x, kind, 3, 2, 1, include_pad=include)
                 assert np.abs(fast - ref).max() <= 1e-6
+                if kind == "max":
+                    assert np.array_equal(fast, ref)
+                else:
+                    mean_abs = oracle.pool2d_naive(np.abs(x), "avg", 3, 2, 1, include_pad=include)
+                    bound = gamma(3 * 3 + 3) * mean_abs.astype(np.float64) / (1.0 - U)
+                    assert np.all(np.abs(fast - ref.astype(np.float64)) <= bound)
 
     def test_avg_divisor_counts_full_window_by_default(self):
+        # the sum of 8 padded zeros and one 4.0 is exact, so fl(4/9) rounds
+        # once, in the divide: within u * 4/9 of the exact quotient, and
+        # 4.0 / 9.0 in float64 within 2^-53 * 4/9 of it
         x = tensor4([[[[4.0]]]])
         y = pool2d(x, "avg", 3, 1, 1)  # 8 padded zeros + one 4.0
         assert abs(y[0, 0, 0, 0] - 4.0 / 9.0) <= 1e-7
+        assert abs(float(y[0, 0, 0, 0]) - 4.0 / 9.0) <= (gamma(1) + 2.0 ** -53) * 4.0 / 9.0
         y_excl = pool2d(x, "avg", 3, 1, 1, include_pad=False)
         assert y_excl[0, 0, 0, 0] == 4.0
 
@@ -421,6 +456,9 @@ class TestBatchNorm:
             batchnorm_infer(rand_input(rng, 1, 2, 2, 2), bn)
 
 
+TANH_ULPS = 4  # numpy's float32 tanh, assumed accurate to 4 ulp
+
+
 class TestActivation:
     def test_silu_zero(self):
         x = np.zeros((1, 1, 1, 1), DTYPE)
@@ -431,8 +469,18 @@ class TestActivation:
         assert activation(x, "sigmoid")[0, 0, 0, 0] == 0.5
 
     def test_silu_one(self):
+        # silu(z) = h * (tanh(h) + 1) with h = z/2 exact. With tanh within
+        # TANH_ULPS ulp of T = tanh(h), the add and the multiply each rounding
+        # once: |error| <= |h| * (TANH_ULPS * ulp(T) + 2u * (1 + T)). The
+        # literal 0.731059 is silu(1) rounded to 6 decimals, within 5e-7.
         x = np.ones((1, 1, 1, 1), DTYPE)
-        assert abs(float(activation(x, "silu")[0, 0, 0, 0]) - 0.731059) <= 1e-6
+        got = float(activation(x, "silu")[0, 0, 0, 0])
+        assert abs(got - 0.731059) <= 1e-6
+        t = math.tanh(0.5)
+        assert abs(0.731059 - 1 / (1 + math.exp(-1))) <= 5e-7
+        bound = 0.5 * (TANH_ULPS * float(np.spacing(DTYPE(t))) + 2 * U * (1 + t))
+        assert abs(got - 1 / (1 + math.exp(-1))) <= bound
+        assert abs(got - 0.731059) <= bound + 5e-7
 
     def test_identity(self, rng):
         x = rand_input(rng, 1, 2, 3, 3)
@@ -464,8 +512,17 @@ class TestActivation:
             assert np.array_equal(x, before, equal_nan=True)
 
     def test_silu_allocates_only_its_output(self, rng):
+        # and one scratch band, of SILU_BAND / runs elements when image runs
+        # share a batched pass (4 KB covers the array headers)
         x = rand_input(rng, 1, 16, 128, 128)  # 1 MB
         assert _traced_peak(lambda: activation(x, "silu")) < 1.5 * x.nbytes
+        for runs in (1, 2, 3):
+            token = tensor.RUNS.set(runs)
+            try:
+                peak = _traced_peak(lambda: activation(x, "silu"))
+            finally:
+                tensor.RUNS.reset(token)
+            assert peak <= x.nbytes + x.itemsize * -(-tensor.SILU_BAND // runs) + 4096, runs
 
     def test_finite_on_extremes(self):
         x = np.array([[[[-1e4, 1e4]]]], DTYPE)
@@ -775,23 +832,30 @@ class TestOutContract:
 
     def test_silu_across_band_edges(self, rng):
         # 67500 elements per image. Contiguous, both images are banded as one
-        # array, so bands start at 65536 and at 131072 (63572 into image 1);
-        # a slot is banded per image, so bands start at 65536 in each
-        band, per_image = tensor.SILU_BAND, 3 * 150 * 150
-        x = rand_input(rng, 2, 3, 150, 150) * DTYPE(8)
-        flat = x.reshape(2, -1)
+        # array, so with one run bands start at 65536 and at 131072 (63572
+        # into image 1); a slot is banded per image, so bands start at 65536
+        # in each. Runs sharing a batched pass band SILU_BAND / runs.
+        per_image = 3 * 150 * 150
         extremes = np.array([np.nan, np.inf, -np.inf, 3.4e38, -3.4e38, 0.0, -0.0,
                              1e-45, -1e-45, 88.7, -88.7, np.nan], DTYPE)
-        for at in (0, band - 6, 2 * band - per_image - 6, per_image - 12):
-            flat[:, at:at + 12] = extremes
-        with np.errstate(invalid="ignore"):  # -inf * 0 is NaN
-            want = x * sigmoid(x)  # the whole-array form
-            fresh = activation(x, "silu")
-            slot, onto = _slot(x.shape), x.copy()
-            activation(x, "silu", out=slot)
-            activation(onto, "silu", out=onto)
-        for got in (fresh, slot, onto):
-            assert np.array_equal(got, want, equal_nan=True)
+        for runs in (1, 2, 3):
+            band = -(-tensor.SILU_BAND // runs)
+            x = rand_input(rng, 2, 3, 150, 150) * DTYPE(8)
+            flat = x.reshape(2, -1)
+            for at in (0, band - 6, -(-per_image // band) * band - per_image - 6, per_image - 12):
+                flat[:, at:at + 12] = extremes
+            token = tensor.RUNS.set(runs)
+            try:
+                with np.errstate(invalid="ignore"):  # -inf * 0 is NaN
+                    want = x * sigmoid(x)  # the whole-array form
+                    fresh = activation(x, "silu")
+                    slot, onto = _slot(x.shape), x.copy()
+                    activation(x, "silu", out=slot)
+                    activation(onto, "silu", out=onto)
+            finally:
+                tensor.RUNS.reset(token)
+            for got in (fresh, slot, onto):
+                assert np.array_equal(got, want, equal_nan=True)
 
     def test_out_of_the_wrong_shape_raises(self, rng):
         x = rand_input(rng, 1, 2, 3, 3)

@@ -7,6 +7,7 @@ from config text allocates none."""
 import hashlib
 import os
 import struct
+import sys
 import tempfile
 import threading
 import tracemalloc
@@ -398,3 +399,63 @@ class TestSpans:
             for module in (reparam_module, weights_module):
                 m.setattr(module, "run_spans", cut_runs)
             assert _compile_digests(graph) == want
+
+
+@pytest.mark.skipif(weights_module._openblas() is None, reason="the loaded BLAS has no thread setter")
+class TestOneBlasThread:
+    """The hold keeps numpy's OpenBLAS at one thread while any hold is open
+    and gives the caller's count back when the last one closes."""
+
+    @pytest.fixture
+    def two_threads(self):
+        get, put = weights_module._openblas()
+        before = get()
+        put(2)
+        yield get
+        put(before)
+
+    def test_overlapping_holds(self, two_threads):
+        get = two_threads
+        a, b = weights_module.one_blas_thread(), weights_module.one_blas_thread()
+        a.__enter__()
+        b.__enter__()
+        assert get() == 1
+        a.__exit__(None, None, None)
+        assert get() == 1  # b is still open
+        b.__exit__(None, None, None)
+        assert get() == 2
+
+    def test_nested_holds_and_an_error(self, two_threads):
+        get = two_threads
+        with pytest.raises(RuntimeError):
+            with weights_module.one_blas_thread():
+                with weights_module.one_blas_thread():
+                    assert get() == 1
+                assert get() == 1
+                raise RuntimeError("inside the hold")
+        assert get() == 2
+
+    def test_concurrent_holds(self, two_threads):
+        # more threads than cores, switching often: every open hold sees one
+        # thread, and the count is the caller's again when all have closed
+        get = two_threads
+        seen = []
+
+        def worker():
+            for _ in range(200):
+                with weights_module.one_blas_thread():
+                    seen.append(get())
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == 800 and set(seen) == {1}
+        assert get() == 2

@@ -23,13 +23,14 @@ yields (prefix, leaf) for every leaf; ``slots`` expands each leaf's
 attribute, array)`` binds the name, and ``named_arrays`` reads the slots.
 ``is_stat`` marks batchnorm running statistics: store entries, not
 learnable parameters. ``fuse()`` returns the inference-form structure and
-folds nothing: a ``ConvBNAct`` with batchnorm gives ``ConvBNAct.fused``,
-built directly over the same geometry (a biased spec, zero-view ``w`` and
-``b``, no ``bn``), one without batchnorm gives itself, a ``RepVGGBlock``
-gives the same over its 3x3 spec, and a composite a shallow copy holding
-its fused children. reparam.fuse_block folds the arrays into it. Each forward calls
-only tensor.py's hooked ops, so cost.py reads shapes and costs off a forward
-pass over zero views.
+folds nothing: a ``ConvBNAct`` with batchnorm gives ``ConvBNAct.biased``
+over its own spec (zero-view ``w`` and ``b``, no ``bn``), one without
+batchnorm gives itself, a ``RepVGGBlock`` gives the same over its 3x3 spec,
+and a composite a shallow copy holding its fused children. A ``ConvSpec``
+is geometry only, shared by both forms: whether a conv has a bias is
+whether its ``b`` array is set. reparam.fuse_block folds the arrays into
+it. Each forward calls only tensor.py's hooked ops, so cost.py reads shapes
+and costs off a forward pass over zero views.
 
 Forward never writes into its input: it passes ``out=`` (tensor.py's
 ownership rule) only an array an op returned to it in the same forward, so
@@ -107,13 +108,14 @@ class Block:
 
 
 class ConvBNAct(Block):
-    """Convolution + batchnorm + activation. The fused form drops the
-    batchnorm for a conv bias: ``b`` is set exactly when ``bn`` is not."""
+    """Convolution + batchnorm + activation. The fused form (``biased``)
+    drops the batchnorm for a conv bias: ``b`` is set exactly when ``bn`` is
+    not, and the spec is the same."""
 
     ARRAYS = ("w", "b", "bn")
 
     def __init__(self, c_in, c_out, k=1, stride=1, groups=1, act="silu"):
-        self.spec = ConvSpec(c_in, c_out, k, stride, k // 2, groups, has_bias=False)
+        self.spec = ConvSpec(c_in, c_out, k, stride, k // 2, groups)
         self.w = zero_view(self.spec.weight_shape)
         self.b = None
         self.bn = BNParams.identity(c_out)
@@ -130,22 +132,17 @@ class ConvBNAct(Block):
         return activation(y, self.act, out=y)
 
     @classmethod
-    def fused(cls, c_in, c_out, k=1, stride=1, groups=1, act="silu") -> "ConvBNAct":
-        """The fused form, built directly: a biased spec, zero-view ``w`` and
+    def biased(cls, spec: ConvSpec, act: str) -> "ConvBNAct":
+        """The fused form over `spec`, built directly: zero-view ``w`` and
         ``b``, and no batchnorm."""
         leaf = cls.__new__(cls)
-        leaf.spec = ConvSpec(c_in, c_out, k, stride, k // 2, groups, has_bias=True)
-        leaf.w = zero_view(leaf.spec.weight_shape)
-        leaf.b = zero_view((c_out,))
-        leaf.bn = None
-        leaf.act = act
+        leaf.spec, leaf.act, leaf.bn = spec, act, None
+        leaf.w = zero_view(spec.weight_shape)
+        leaf.b = zero_view((spec.c_out,))
         return leaf
 
     def fuse(self) -> "ConvBNAct":
-        if self.bn is None:
-            return self
-        s = self.spec
-        return ConvBNAct.fused(s.c_in, s.c_out, s.k, s.stride, s.groups, self.act)
+        return self if self.bn is None else ConvBNAct.biased(self.spec, self.act)
 
 
 class RepVGGBlock(Block):
@@ -183,7 +180,7 @@ class RepVGGBlock(Block):
         return activation(y, "silu", out=y)
 
     def fuse(self) -> ConvBNAct:
-        return ConvBNAct.fused(self.spec3.c_in, self.spec3.c_out, 3, self.spec3.stride)
+        return ConvBNAct.biased(self.spec3, "silu")
 
 
 class Composite(Block):
@@ -304,8 +301,8 @@ class SqueezeExcite(Composite):
     def __init__(self, c):
         if c % 4:
             raise ValueError(f"reduce ratio 4 must divide {c} channels")
-        self.fc1 = ConvBNAct.fused(c, c // 4, 1, act="silu")
-        self.fc2 = ConvBNAct.fused(c // 4, c, 1, act="sigmoid")
+        self.fc1 = ConvBNAct.biased(ConvSpec(c, c // 4, 1), "silu")
+        self.fc2 = ConvBNAct.biased(ConvSpec(c // 4, c, 1), "sigmoid")
 
     def forward(self, x):
         gate = self.fc2.forward(self.fc1.forward(global_avg_pool(x)))

@@ -5,7 +5,8 @@ Conventions (all counts are exact integers, per single input sample):
 - MACs count multiply-accumulates inside convolutions and matrix products
   only. The instrumented counter in oracle.py must reproduce them exactly.
 - ``params`` counts learnable scalars: conv kernels, biases, and batchnorm
-  gamma/beta. Running statistics are store entries but not parameters.
+  gamma/beta, read off each block's arrays. Running statistics are store
+  entries but not parameters. ``conv_cost`` counts a kernel's alone.
 - Pooling, batchnorm application, activations, residual adds, softmax and
   gating multiplies are tracked under ``other_ops`` and never enter MAC
   totals or ratios. Each op's per-element count is stated once, at its
@@ -31,13 +32,13 @@ RATIO_LINE = "adown vs standard 3x3 stride-2 conv: 5/18 (27.8% rounded; paper: 2
 
 
 def conv_cost(spec: ConvSpec, h_in: int, w_in: int) -> tuple[int, int]:
-    """(macs, params) of one convolution: macs = h_out*w_out*k^2*(c_in/g)*c_out,
-    params = k^2*(c_in/g)*c_out plus c_out when biased."""
+    """(macs, params) of one convolution's kernel: macs =
+    h_out*w_out*k^2*(c_in/g)*c_out, params = k^2*(c_in/g)*c_out. A bias is
+    an array, not geometry, so block and graph totals count it off the
+    block's arrays."""
     ho, wo = conv_out_hw(h_in, w_in, spec.k, spec.stride, spec.padding)
-    per_site = spec.k * spec.k * (spec.c_in // spec.groups)
-    macs = ho * wo * per_site * spec.c_out
-    params = per_site * spec.c_out + (spec.c_out if spec.has_bias else 0)
-    return macs, params
+    params = spec.k * spec.k * (spec.c_in // spec.groups) * spec.c_out
+    return ho * wo * params, params
 
 
 @dataclass

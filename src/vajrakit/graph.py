@@ -27,7 +27,6 @@ gives each node's output (c, h, w) and cost ``Tally`` with no storage.
 """
 from __future__ import annotations
 
-import contextlib
 import functools
 import inspect
 import threading
@@ -39,7 +38,7 @@ import numpy as np
 from . import blocks as B
 from . import weights
 from .cost import MetaBackend
-from .tensor import (DTYPE, RUNS, ShapeError, backend_op, check_tensor4, concat_channels,
+from .tensor import (DTYPE, ShapeError, backend_op, check_tensor4, concat_channels,
                      installed_backend, override_backend, upsample_nearest, zero_view)
 
 _IO = {"in": "c_in", "out": "c_out"}
@@ -464,36 +463,35 @@ class Model:
             yield node, y
             del y
 
-    def _pass(self, x: np.ndarray, key: dict, outs: dict) -> dict:
-        """Set outs[key[node.id]] to the output of each node in `key`, over
-        one pass of x, and return outs.
+    def _pass(self, x: np.ndarray, key: dict) -> dict:
+        """Map key[node.id] to the output of each node in `key`, over one pass
+        of x, in the order of `key`.
 
         A batch of n >= 2 images runs with numpy's OpenBLAS held at one
-        thread, as min(n, usable CPUs) image runs (``weights.run_spans``),
-        each a walk over a contiguous slice of the batch, joined once at the
-        end. Each run's transient bands are one run's divided by the run
-        count (``tensor.RUNS``), so the runs together peak where one walk
-        does. With two or more runs, a run writes each keyed output into its
-        slice of one (n, c, h, w) array, which the first run to reach that
-        node allocates, and walks on with that slice, so no run holds a
-        second copy. A batched image's bytes depend on the run count (it
-        sets the GEMM band widths), never on the BLAS thread count. A batch
-        of one, a pass under an installed backend, or a BLAS with no thread
-        setter takes one walk on the caller, as it always has."""
+        thread, as image runs cut by ``weights.run_spans`` (each image weighs
+        one whole span, so one run per image up to the CPU count), each a
+        walk over a contiguous slice of the batch, joined once at the end.
+        ``run_spans`` sets the run count (``tensor.RUNS``) in each run, which
+        divides the run's transient bands, so the runs together peak where
+        one walk does. A run over the whole batch keeps each keyed output as
+        its node returned it. Any other run writes it into its slice of one
+        (n, c, h, w) array, which the first run to reach that node allocates,
+        and walks on with that slice, so no run holds a second copy. A
+        batched image's bytes depend on the run count (it sets the GEMM band
+        widths), never on the BLAS thread count. A batch of one, a pass under
+        an installed backend, or a BLAS with no thread setter takes one walk
+        on the caller."""
         check_tensor4(x, "model input")
         n = x.shape[0]
         hold = weights.one_blas_thread() if n > 1 and installed_backend() is None else None
-        runs = 1 if hold is None else min(n, weights._usable_cpus())
-
-        def place(node, y):
-            if node.id in key:
-                outs[key[node.id]] = y
-            return y
-
+        outs = dict.fromkeys(key.values())
         lock = threading.Lock()
 
-        def place_slice(i, j, node, y):
+        def place(i, j, node, y):
             if node.id not in key:
+                return y
+            if j - i == n:
+                outs[key[node.id]] = y
                 return y
             with lock:  # the first run to reach the node allocates its array
                 full = outs[key[node.id]]
@@ -503,15 +501,13 @@ class Model:
             return full[i:j]
 
         def run(i, j):
-            RUNS.set(runs)  # in this run's own copy of the caller's context
-            for node, y in self.walk(x[i:j], functools.partial(place_slice, i, j)):
+            for node, y in self.walk(x[i:j], functools.partial(place, i, j)):
                 del y
 
-        with hold or contextlib.nullcontext():
-            if runs == 1:
-                for node, y in self.walk(x, place):
-                    del y
-            else:  # each image weighs one whole span, so run_spans makes `runs` runs
+        if hold is None:
+            run(0, n)
+        else:
+            with hold:
                 weights.run_spans(run, [weights._MIN_SPAN] * n)
         return outs
 
@@ -519,8 +515,7 @@ class Model:
         """Run the graph; returns node id -> output for every node, all of
         them held until the pass ends (see stage_outputs for the lean run).
         A batch runs as image runs on every core (``_pass``)."""
-        return self._pass(x, {node.id: node.id for node in self.graph.nodes},
-                          {"input": x, **{node.id: None for node in self.graph.nodes}})
+        return {"input": x, **self._pass(x, {node.id: node.id for node in self.graph.nodes})}
 
     def stage_outputs(self, x: np.ndarray) -> dict:
         """Map stage tag -> output of the last node carrying that tag, in order
@@ -533,7 +528,7 @@ class Model:
         last = {node.stage: node for node in nodes if node.stage is not None}
         if not last:
             last = {nodes[-1].id: nodes[-1]}
-        return self._pass(x, {node.id: k for k, node in last.items()}, dict.fromkeys(last))
+        return self._pass(x, {node.id: k for k, node in last.items()})
 
 
 def forward_graph(graph: ModelGraph, store, x: np.ndarray) -> dict:

@@ -52,7 +52,7 @@ def check_conv_matches_loop_nest():
         c_out = g * int(rng.integers(1, 4))
         k = int(rng.choice([1, 3, 5]))
         s = int(rng.choice([1, 2]))
-        spec = ConvSpec(c_in, c_out, k, s, k // 2, g, has_bias=True)
+        spec = ConvSpec(c_in, c_out, k, s, k // 2, g)
         x = rng.standard_normal((2, c_in, 9, 9)).astype(DTYPE)
         w = rng.standard_normal(spec.weight_shape).astype(DTYPE)
         b = rng.standard_normal(c_out).astype(DTYPE)

@@ -83,7 +83,8 @@ def conv_out_hw(h: int, w: int, k: int, stride: int, padding: int) -> tuple[int,
 
 @dataclass(frozen=True)
 class ConvSpec:
-    """Convolution geometry; the unit of batchnorm fusion."""
+    """Convolution geometry; the unit of batchnorm fusion. Whether a conv
+    has a bias is not geometry: it is whether a ``bias`` array is passed."""
 
     c_in: int
     c_out: int
@@ -91,7 +92,6 @@ class ConvSpec:
     stride: int = 1
     padding: int = 0
     groups: int = 1
-    has_bias: bool = False
 
     def __post_init__(self):
         if self.k not in (1, 3, 5, 7):
@@ -262,11 +262,12 @@ def _window_reduce(xp: np.ndarray, k: int, stride: int, ho: int, wo: int, ufunc)
 TILE_BYTES = 4 << 20
 MIN_SITES = 1024
 
-# How many image runs share the pass (``Model._pass`` sets it in each batched
-# run's context). Dense conv bands and SiLU bands are one run's sizes
-# divided by it, rounded up, so the runs' transients together take what one
-# run's would: with full-size bands, two runs' im2col tiles at P3's 20x20
-# 3x3 convs took preset M train, batch 4 @160, from 20.14 to 21.12 MB.
+# How many image runs share the pass: ``weights.run_spans`` sets it to its
+# run count in each worker's context, so each image run of a batched pass
+# reads it. Dense conv bands and SiLU bands are one run's sizes divided by
+# it, rounded up, so the runs' transients together take what one run's would:
+# with full-size bands, two runs' im2col tiles at P3's 20x20 3x3 convs took
+# preset M train, batch 4 @160, from 20.14 to 21.12 MB.
 RUNS: contextvars.ContextVar = contextvars.ContextVar("vajrakit_runs", default=1)
 
 

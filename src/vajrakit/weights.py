@@ -22,7 +22,9 @@ block (by their arrays' sizes) and ``load`` the tensors of the file, read by
 ``os.preadv`` on its one descriptor. Each run's result depends on nothing
 but its arrays, so the bytes do not depend on the split. A batched forward
 pass runs its images this way too, with OpenBLAS held at one thread
-(``one_blas_thread``).
+(``one_blas_thread``). ``run_spans`` alone knows how many runs it made: it
+sets that count as ``tensor.RUNS`` in each worker, where it sizes a forward
+pass's transient bands.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .tensor import DTYPE
+from .tensor import DTYPE, RUNS
 
 MAGIC = b"VJW1"
 _U32_MAX = 2**32 - 1
@@ -169,10 +171,11 @@ def run_spans(work, sizes) -> None:
     least 2^20 elements, with every item whole in the run that holds its
     middle element. A single run goes on the calling thread. More run one
     thread each, in a copy of the caller's context (so an
-    ``override_backend`` set by the caller holds there too); every worker is
-    joined before return, and a worker's error is raised in the caller. A
-    batched forward pass (``graph.Model._pass``) gives each image the weight
-    of one whole span, so it gets one run per image up to the CPU count."""
+    ``override_backend`` set by the caller holds there too) with
+    ``tensor.RUNS`` set to the number of runs; every worker is joined before
+    return, and a worker's error is raised in the caller. A batched forward
+    pass (``graph.Model._pass``) gives each image the weight of one whole
+    span, so it gets one run per image up to the CPU count."""
     total = sum(sizes)
     parts = max(1, min(_usable_cpus(), total // _MIN_SPAN))
     starts = itertools.accumulate(sizes, initial=0)
@@ -182,8 +185,13 @@ def run_spans(work, sizes) -> None:
     if len(runs) < 2:
         work(0, len(sizes))
         return
+
+    def counted(i, j):
+        RUNS.set(len(runs))  # in this worker's own copy of the caller's context
+        work(i, j)
+
     with ThreadPoolExecutor(len(runs)) as pool:  # joins every worker on exit
-        futures = [pool.submit(contextvars.copy_context().run, work, i, j) for i, j in runs]
+        futures = [pool.submit(contextvars.copy_context().run, counted, i, j) for i, j in runs]
         for done in futures:
             done.result()  # re-raises a worker's error
 

@@ -5,6 +5,7 @@ from vajrakit.selftest import rand_bn  # noqa: F401  (re-exported to the test mo
 from vajrakit.tensor import DTYPE, BNParams
 
 U = 2.0 ** -24  # float32 unit roundoff
+TANH_ULPS = 4  # numpy's float32 tanh, assumed accurate to 4 ulp
 
 
 def gamma(n: int) -> float:

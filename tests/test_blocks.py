@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from conftest import identity_bn, rand_bn, rand_input, randomize
+from conftest import TANH_ULPS, U, gamma, identity_bn, rand_bn, rand_input, randomize
 from vajrakit import blocks as B
 from vajrakit import oracle
 from vajrakit.reparam import identity_kernel
@@ -14,6 +14,57 @@ from vajrakit.tensor import (
     pool2d,
     split_channels,
 )
+
+# Bounds on a block's fast-vs-oracle gap, carried element by element through
+# its ops as (mag, err) float64 arrays: mag bounds |value| on both sides and
+# err bounds |fast - ref|. Under oracle.reference() only conv and pool differ
+# from the fast path; every other op is the same code on both sides, so it
+# adds its Lipschitz constant times err plus its own roundings on each side.
+# Conv (TestConv2dDerivedBound): within gamma_{K+3} * sum|w||x| of the oracle
+# at one input, plus sum|w| * err for inputs that differ by err.
+# SiLU (test_silu_one): h * (tanh(h) + 1) with h = z/2 is within
+# |h| * (TANH_ULPS * u + 4u) of silu(z), and silu's slope is at most 1.1.
+SILU_ERR = (TANH_ULPS / 2 + 2) * U
+
+
+def _windows(x, k, stride, padding):
+    """The k x k windows of x, zero-padded, at each output site: (n, c, ho, wo, k, k)."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    return np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+
+
+def _conv(mag, err, spec, w):
+    """(mag, err) after a dense conv; its sums of |w| times mag or err in float64."""
+    acc, spread = (np.einsum("nchwij,ocij->nohw", _windows(a, spec.k, spec.stride, spec.padding),
+                             np.abs(w.astype(np.float64))) for a in (mag, err))
+    slack = gamma(spec.k * spec.k * spec.c_in + 3)
+    return acc * (1 + slack), spread + slack * acc
+
+
+def _bn(mag, err, bn):
+    """(mag, err) after batchnorm: x * scale + shift with the float32 scale
+    and shift it computes, the same on both sides, so |scale|-Lipschitz plus
+    two roundings of |x * scale| + |shift| on each side."""
+    scale = bn.gamma / np.sqrt(bn.var + DTYPE(bn.eps))
+    shift = bn.beta - bn.mean * scale
+    s, t = (np.abs(v.astype(np.float64))[:, None, None] for v in (scale, shift))
+    terms = s * mag + t
+    return terms * (1 + gamma(2)), s * err + 2 * gamma(2) * terms
+
+
+def _add(a, b):
+    """(mag, err) of a sum: one rounding on each side."""
+    mag = a[0] + b[0]
+    return mag * (1 + U), a[1] + b[1] + 2 * U * mag
+
+
+def _silu(mag, err):
+    return mag * (1 + SILU_ERR), 1.1 * err + 2 * SILU_ERR * mag
+
+
+def _leaf(mag, err, leaf):
+    """(mag, err) after a train-form ConvBNAct with SiLU."""
+    return _silu(*_bn(*_conv(mag, err, leaf.spec, leaf.w), leaf.bn))
 
 
 class TestRepVGGBlock:
@@ -42,6 +93,13 @@ class TestRepVGGBlock:
         with oracle.reference():
             ref = blk.forward(x)
         assert np.abs(fast - ref).max() <= 1e-5
+        # both convs differ, then batchnorm, two adds (the identity branch is
+        # the same on both sides) and SiLU
+        mag, err = np.abs(x.astype(np.float64)), np.zeros(x.shape)
+        branches = [_bn(*_conv(mag, err, spec, w), bn) for spec, w, bn in
+                    ((blk.spec3, blk.w3, blk.bn3), (blk.spec1, blk.w1, blk.bn1))]
+        bound = _silu(*_add(_add(*branches), _bn(mag, err, blk.bnid)))[1]
+        assert np.all(np.abs(fast.astype(np.float64) - ref) <= bound)
 
 
 class TestRepCSP:
@@ -365,6 +423,16 @@ class TestADown:
         with oracle.reference():
             ref = blk.forward(x)
         assert np.abs(fast - ref).max() <= 1e-5
+        # the 2x2 avg pool is within gamma_{K+3} * mean|x| of the oracle's
+        # (test_avg_within_derived_bound), the max pool is exact and
+        # 1-Lipschitz, and each half then runs a conv leaf
+        mean_abs = _windows(np.abs(x.astype(np.float64)), 2, 1, 0).mean(axis=(-2, -1))
+        mag, err = mean_abs * (1 + gamma(2 * 2 + 3)), gamma(2 * 2 + 3) * mean_abs
+        half = blk.cv1.c_in
+        a = _leaf(mag[:, :half], err[:, :half], blk.cv1)
+        b = _leaf(*(_windows(v[:, half:], 3, 2, 1).max(axis=(-2, -1)) for v in (mag, err)), blk.cv2)
+        bound = np.concatenate([a[1], b[1]], axis=1)
+        assert np.all(np.abs(fast.astype(np.float64) - ref) <= bound)
 
 
 class TestShapeFuzz:

@@ -36,11 +36,6 @@ class TestConvCost:
         assert macs == 10 * 12 * 9 * c
         assert params == 9 * c
 
-    def test_bias_adds_c_out_params(self):
-        _, p_nobias = conv_cost(ConvSpec(4, 6, 3, 1, 1), 8, 8)
-        _, p_bias = conv_cost(ConvSpec(4, 6, 3, 1, 1, has_bias=True), 8, 8)
-        assert p_bias == p_nobias + 6
-
     def test_counter_equality_on_random_specs(self, rng):
         for _ in range(50):
             g = int(rng.choice([1, 2, 4]))

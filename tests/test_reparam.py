@@ -36,7 +36,11 @@ class TestFuseConvBN:
         fused_w, fused_b = fuse_conv_bn(spec, w, identity_bn(6))
         assert np.array_equal(fused_w, w)
         assert np.array_equal(fused_b, np.zeros(6, DTYPE))
-        assert B.ConvBNAct(4, 6, 3).fuse().spec.has_bias
+        # the fused leaf keeps the train form's spec and gains a bias array
+        conv, rep = B.ConvBNAct(4, 6, 3), B.RepVGGBlock(4, 6)
+        for train, spec in ((conv, conv.spec), (rep, rep.spec3)):
+            leaf = train.fuse()
+            assert leaf.spec is spec and leaf.b is not None
 
     def test_zero_gain_folds_to_beta(self, rng):
         spec = ConvSpec(3, 4, 1)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import U, gamma, identity_bn, rand_bn, rand_input
+from conftest import TANH_ULPS, U, gamma, identity_bn, rand_bn, rand_input
 from vajrakit import oracle, tensor
 from vajrakit.tensor import (
     DTYPE,
@@ -75,7 +75,7 @@ class TestConv2d:
 
     def test_zero_weights_bias_only(self, rng):
         x = rand_input(rng, 1, 3, 4, 4)
-        spec = ConvSpec(3, 2, 3, 1, 1, has_bias=True)
+        spec = ConvSpec(3, 2, 3, 1, 1)
         b = np.array([1.5, -2.25], DTYPE)
         y = conv2d(x, spec, np.zeros(spec.weight_shape, DTYPE), b)
         assert np.all(y[0, 0] == 1.5) and np.all(y[0, 1] == -2.25)
@@ -90,7 +90,7 @@ class TestConv2d:
             p = int(rng.choice([0, k // 2, k // 2 + 1]))
             h = int(rng.integers(k, 14))
             w_ = int(rng.integers(k, 14))
-            spec = ConvSpec(c_in, c_out, k, s, p, g, has_bias=True)
+            spec = ConvSpec(c_in, c_out, k, s, p, g)
             x = rand_input(rng, 2, c_in, h, w_)
             w = (rng.standard_normal(spec.weight_shape) * 0.5).astype(DTYPE)
             b = rng.standard_normal(c_out).astype(DTYPE)
@@ -146,7 +146,7 @@ class TestConv2d:
                                                (1, 2, 1, True), (3, 1, 4, True), (7, 1, 8, False)])
     def test_split_part_input_matches_contiguous(self, rng, k, s, g, bias):
         # blocks pass split parts, which are channel views of a wider buffer
-        spec = ConvSpec(8, 8, k, s, k // 2, g, has_bias=bias)
+        spec = ConvSpec(8, 8, k, s, k // 2, g)
         w = rng.standard_normal(spec.weight_shape).astype(DTYPE)
         b = rng.standard_normal(8).astype(DTYPE) if bias else None
         x = split_channels(rand_input(rng, 2, 16, 9, 11), 2)[1]
@@ -287,7 +287,7 @@ class TestConv2dDerivedBound:
         assert _traced_peak(lambda: conv2d(x, spec, w)) < patch_bytes / 2
 
     def test_unpadded_grouped_with_bias_matches_oracle(self, rng):
-        spec = ConvSpec(4, 6, 3, 2, 0, groups=2, has_bias=True)
+        spec = ConvSpec(4, 6, 3, 2, 0, groups=2)
         x = rand_input(rng, 1, 4, 9, 8)
         w = rng.standard_normal(spec.weight_shape).astype(DTYPE)
         b = rng.standard_normal(6).astype(DTYPE)
@@ -454,9 +454,6 @@ class TestBatchNorm:
                       np.zeros(2, DTYPE), eps=0.0)
         with pytest.raises(ValueError):
             batchnorm_infer(rand_input(rng, 1, 2, 2, 2), bn)
-
-
-TANH_ULPS = 4  # numpy's float32 tanh, assumed accurate to 4 ulp
 
 
 class TestActivation:

@@ -368,6 +368,17 @@ class TestSpans:
         assert sorted(seen) == [(0, 1, backend), (1, 2, backend), (2, 3, backend)]
         assert threading.main_thread() not in threads
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_every_run_reads_the_run_count(self, cpus, monkeypatch):
+        # tensor.RUNS divides each image run's transient bands, so each run
+        # must read how many runs share the pass; the caller's stays 1
+        monkeypatch.setattr(weights_module, "_MIN_SPAN", 1)
+        monkeypatch.setattr(weights_module, "_usable_cpus", lambda: cpus)
+        seen = []
+        weights_module.run_spans(lambda i, j: seen.append(T.RUNS.get()), [1, 1, 1])
+        assert seen == [cpus] * cpus
+        assert T.RUNS.get() == 1
+
     @pytest.mark.parametrize("sizes, cpus, want", [
         ([2, 6], 2, [(0, 1), (1, 2)]),  # middles 1 and 5 either side of the cut at 4
         ([1, 1, 6], 2, [(0, 2), (2, 3)]),

@@ -1,6 +1,7 @@
 """Command-line front end: describe | cost | reparam-check | forward | selftest.
 
-Exit codes: 0 success, 1 validation or tolerance failure, 2 usage error.
+Exit codes: 0 success, 1 validation or tolerance failure (or memory
+exhausted), 2 usage error.
 All output is reproducible byte-for-byte for fixed flags and seed. Forward
 output for one image also needs a fixed BLAS thread count, since a GEMM's
 summation order follows how the BLAS splits it across threads. A batch runs
@@ -230,6 +231,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ConfigError, ShapeError, WeightFormatError, KeyError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:  # numpy's message names the allocation that failed
+        print(f"error: out of memory: {e}" if str(e) else "error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -471,16 +471,18 @@ class Model:
         thread, as image runs cut by ``weights.run_spans`` (each image weighs
         one whole span, so one run per image up to the CPU count), each a
         walk over a contiguous slice of the batch, joined once at the end.
-        ``run_spans`` sets the run count (``tensor.RUNS``) in each run, which
-        divides the run's transient bands, so the runs together peak where
-        one walk does. A run over the whole batch keeps each keyed output as
-        its node returned it. Any other run writes it into its slice of one
-        (n, c, h, w) array, which the first run to reach that node allocates,
-        and walks on with that slice, so no run holds a second copy. A
-        batched image's bytes depend on the run count (it sets the GEMM band
-        widths), never on the BLAS thread count. A batch of one, a pass under
-        an installed backend, or a BLAS with no thread setter takes one walk
-        on the caller."""
+        ``run_spans`` sets the run count (``tensor.RUNS``) in each run: each
+        dense conv keeps one walk's GEMM width and splits its contraction
+        into that many parts, and the SiLU band is divided by it, so the
+        runs together peak about where one walk does. A run over the whole
+        batch keeps each keyed output as its node returned it. Any other run
+        writes it into its slice of one (n, c, h, w) array, which the first
+        run to reach that node allocates, and walks on with that slice, so
+        no run holds a second copy. A batched image's bytes depend on the
+        run count (it sets how each dense conv splits its sums), never on
+        the BLAS thread count. A batch of one, a pass under an installed
+        backend, or a BLAS with no thread setter takes one walk on the
+        caller."""
         check_tensor4(x, "model input")
         n = x.shape[0]
         hold = weights.one_blas_thread() if n > 1 and installed_backend() is None else None

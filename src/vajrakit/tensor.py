@@ -10,8 +10,11 @@ views of its input.
 Dense convolution is a BLAS matmul over the im2col patch matrix, built one
 band of output rows at a time straight from the unpadded input (zeros where
 a tap falls in the padding) and multiplied into its slice of the output. A
-band is at most TILE_BYTES and at most the rows a MIN_SITES-wide GEMM needs,
-divided among the image runs (``RUNS``) that share a batched pass.
+band is at most TILE_BYTES and at most the rows a MIN_SITES-wide GEMM needs.
+The image runs (``RUNS``) that share a batched pass keep that band and split
+the contraction instead: a band is then one GEMM per part of whole input
+channels, the first into the output, each later one into a partial buffer
+added onto it.
 A 1x1 stride-1 unpadded conv multiplies a reshape of the input, with no copy.
 Grouped and depthwise convolution accumulate one small contraction per
 kernel tap over shifted, strided views of the padded input. Pooling is a
@@ -264,10 +267,16 @@ MIN_SITES = 1024
 
 # How many image runs share the pass: ``weights.run_spans`` sets it to its
 # run count in each worker's context, so each image run of a batched pass
-# reads it. Dense conv bands and SiLU bands are one run's sizes divided by
-# it, rounded up, so the runs' transients together take what one run's would:
-# with full-size bands, two runs' im2col tiles at P3's 20x20 3x3 convs took
-# preset M train, batch 4 @160, from 20.14 to 21.12 MB.
+# reads it. The runs' transients together take about what one run's would:
+# a dense conv splits its contraction into RUNS parts of ceil(c_in / RUNS)
+# whole input channels, and its tile holds one part at a time, while a SiLU
+# band is one run's divided by RUNS, rounded up. With one run's tiles in
+# each run, two runs at P3's 20x20 3x3 convs took preset M train, batch 4
+# @160, from 20.14 to 21.12 MB. Dividing the band instead keeps the peak but
+# narrows the GEMMs: a (256x2304) @ (2304x100) GEMM, as in M's 256-channel
+# 3x3 convs on 10x10 maps at 160, took 659 us whole, 841 us as two 50-site
+# halves and 668 us as two K halves plus one add (medians of 7; 2-vCPU
+# Xeon, OpenBLAS 0.3.31, one thread).
 RUNS: contextvars.ContextVar = contextvars.ContextVar("vajrakit_runs", default=1)
 
 
@@ -284,7 +293,9 @@ def _dense_conv(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, out: np.ndar
     @ the im2col patch matrix of each image, whose rows are (channel, tap row,
     tap column) and whose columns are output sites. The patch matrix is built
     one band of whole output rows at a time (see TILE_BYTES), straight from
-    the unpadded input."""
+    the unpadded input, and each band's rows one part of whole channels at a
+    time (see RUNS): the first part's GEMM writes the output band, each later
+    one a partial buffer of c_out x band*wo that is added onto it."""
     n, c, h, w = x.shape
     k, s, p = spec.k, spec.stride, spec.padding
     ho, wo = out.shape[2:]
@@ -294,28 +305,37 @@ def _dense_conv(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, out: np.ndar
         np.matmul(wmat, x.reshape(n, c, h * w), out=out)  # a view of x; no copy
         return
     tiles = -(-ho // max(1, TILE_BYTES // (c * k * k * wo * x.itemsize)))
-    band = -(-min(-(-MIN_SITES // wo), -(-ho // tiles)) // RUNS.get())
+    band = min(-(-MIN_SITES // wo), -(-ho // tiles))
+    part = -(-c // RUNS.get())  # input channels per contraction part
     # a tap's padding columns are the same in every band, never written and
     # so zero from here on; its padding rows differ per band and are zeroed
     # where they fall
-    buf = np.zeros((c, k, k, band, wo), DTYPE)
+    buf = np.zeros((part, k, k, band, wo), DTYPE)
+    acc = np.empty((spec.c_out, band * wo), DTYPE) if part < c else None
     cols = [_valid(j - p, w, s, 0, wo) for j in range(k)]
     for b in range(n):
         for r0 in range(0, ho, band):
             rows = min(band, ho - r0)
-            tile = buf[:, :, :, :rows]
-            for i in range(k):
-                ra, rb = _valid(i - p, h, s, r0, rows)
-                src = x[b, :, (r0 + ra) * s + i - p:(r0 + rb - 1) * s + i - p + 1:s]
-                for j, (qa, qb) in enumerate(cols):
-                    dst = tile[:, i, j]
-                    if ra:
-                        dst[:, :ra] = 0
-                    if rb < rows:
-                        dst[:, rb:] = 0
-                    if ra < rb and qa < qb:
-                        dst[:, ra:rb, qa:qb] = src[:, :, qa * s + j - p:(qb - 1) * s + j - p + 1:s]
-            np.matmul(wmat, tile.reshape(c * k * k, rows * wo), out=out[b, :, r0 * wo:(r0 + rows) * wo])
+            dst_band = out[b, :, r0 * wo:(r0 + rows) * wo]
+            for c0 in range(0, c, part):
+                tile = buf[:min(part, c - c0), :, :, :rows]
+                for i in range(k):
+                    ra, rb = _valid(i - p, h, s, r0, rows)
+                    src = x[b, c0:c0 + part, (r0 + ra) * s + i - p:(r0 + rb - 1) * s + i - p + 1:s]
+                    for j, (qa, qb) in enumerate(cols):
+                        dst = tile[:, i, j]
+                        if ra:
+                            dst[:, :ra] = 0
+                        if rb < rows:
+                            dst[:, rb:] = 0
+                        if ra < rb and qa < qb:
+                            dst[:, ra:rb, qa:qb] = src[:, :, qa * s + j - p:(qb - 1) * s + j - p + 1:s]
+                # the part's columns of wmat are a strided view: no copy
+                a, patches = wmat[:, c0 * k * k:(c0 + part) * k * k], tile.reshape(-1, rows * wo)
+                if c0 == 0:
+                    np.matmul(a, patches, out=dst_band)
+                else:
+                    dst_band += np.matmul(a, patches, out=acc[:, :rows * wo])
 
 
 @_hooked

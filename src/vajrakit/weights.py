@@ -23,8 +23,8 @@ block (by their arrays' sizes) and ``load`` the tensors of the file, read by
 but its arrays, so the bytes do not depend on the split. A batched forward
 pass runs its images this way too, with OpenBLAS held at one thread
 (``one_blas_thread``). ``run_spans`` alone knows how many runs it made: it
-sets that count as ``tensor.RUNS`` in each worker, where it sizes a forward
-pass's transient bands.
+sets that count as ``tensor.RUNS`` in each worker, where it splits each
+dense conv's contraction into that many parts and divides the SiLU band.
 """
 from __future__ import annotations
 

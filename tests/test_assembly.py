@@ -1318,13 +1318,41 @@ class TestBatchedPass:
         assert logs[0] == logs[1] and len(logs[0]) > 0
 
     def test_two_runs_peak_within_one_run(self, monkeypatch):
-        # the runs share one run's transient bands, so two of them running
-        # side by side peak no higher than one run of the whole batch, give
-        # or take the tolerance of test_peak_within_live_plus_transient_table
+        # The runs share one run's transients, so two of them running side
+        # by side peak no higher than one run of the whole batch, plus what
+        # the second run costs of its own:
+        # - run_spans' thread machinery (threads, futures, contexts), counted
+        #   as the traced peak of the same runs doing nothing;
+        # - the second walk's bookkeeping (dict and list entries, view
+        #   headers), within the 16 KB test_peak_within_live_plus_transient_table
+        #   allows one walk;
+        # - inside a dense conv that splits its contraction, one partial
+        #   buffer per run (c_out x band*wo, at most one image's output) and,
+        #   for an odd c_in, one more channel of tile. These count only if
+        #   the peak falls inside such a conv, and it does not: the one walk's
+        #   traced peak inside each, plus them, stays within its pass peak.
         model, x = _batch("M train", 4)
         peaks = {}
         for cpus in (1, 2):
             monkeypatch.setattr(weights_module, "_usable_cpus", lambda cpus=cpus: cpus)
             model.stage_outputs(x)  # warm
             peaks[cpus] = _traced_peak(lambda: model.stage_outputs(x))
-        assert peaks[2] <= peaks[1] + (16 << 10)
+
+        def idle_runs():
+            weights_module.run_spans(lambda i, j: None, [weights_module._MIN_SPAN] * len(x))
+        idle_runs()  # warm
+        machinery = _traced_peak(idle_runs)
+        assert peaks[2] <= peaks[1] + machinery + (16 << 10)
+
+        inside, dense = [], tensor._dense_conv
+
+        def spy(x, spec, weights, out):
+            tracemalloc.reset_peak()
+            dense(x, spec, weights, out)
+            if (spec.k, spec.stride, spec.padding) != (1, 1, 0):
+                extra = 2 * out[0].nbytes + spec.k ** 2 * out[0, 0].nbytes
+                inside.append(tracemalloc.get_traced_memory()[1] + extra)
+        monkeypatch.setattr(tensor, "_dense_conv", spy)
+        monkeypatch.setattr(weights_module, "_usable_cpus", lambda: 1)
+        _traced_peak(lambda: model.stage_outputs(x))
+        assert inside and max(inside) <= peaks[1]

@@ -275,6 +275,23 @@ def test_shape_beyond_numpy_array_size_is_an_error_line(preset_n, command):
     assert err.startswith("error: node 'attn': array is too big") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 1.00 TiB for an array with shape (1, 3, 327680, 327680)"),
+     "error: out of memory: Unable to allocate 1.00 TiB for an array with shape (1, 3, 327680, 327680)\n"),
+    (MemoryError(), "error: out of memory\n"),
+])
+def test_memory_error_is_an_error_line(preset_n, monkeypatch, capsys, error, line):
+    # a shape numpy accepts but memory cannot hold fails in the command;
+    # stood in for here, since a real attempt could exhaust the machine
+    def exhausted(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_forward", exhausted)
+    assert cli.main(["forward", "--config", preset_n, "--shape", "1x3x32x32"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == line
+
+
 @pytest.mark.parametrize("command", ["cost", "reparam-check", "forward"])
 def test_bad_out_fails_before_any_work(preset_n, tmp_path, monkeypatch, capsys, command):
     def no_work(*_):
@@ -333,7 +350,7 @@ def test_batched_forward_bytes_do_not_depend_on_blas_threads(tmp_path):
     # A batch runs with OpenBLAS held at one thread, so its forward bytes do
     # not depend on the count set in each child's environment (single-image
     # forward bytes do; see the test above).
-    for scale in ("N", "X"):
+    for scale in ("N", "M", "X"):
         cfg = tmp_path / f"{scale}.cfg"
         cfg.write_text(preset_text(scale), "utf-8")
         outs = {}

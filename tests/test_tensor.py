@@ -47,6 +47,13 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+def _root(a: np.ndarray) -> np.ndarray:
+    """The array that owns a's memory."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
 def _assert_within_conv_bound(fast, ref, x, spec, w, b=None):
     """|fast - ref| <= gamma_{K+3} * (sum|w||x| + |b|) per output element,
     K = k*k*c_in/groups; TestConv2dDerivedBound derives it (the bias adds one
@@ -245,10 +252,7 @@ class TestConv2dDerivedBound:
         tiles, matmul = [], np.matmul
 
         def spy(a, b, **kwargs):
-            root = b
-            while isinstance(root.base, np.ndarray):
-                root = root.base
-            tiles.append((b.shape[1], b.nbytes, root.nbytes))
+            tiles.append((b.shape[1], b.nbytes, _root(b).nbytes))
             return matmul(a, b, **kwargs)
         monkeypatch.setattr(np, "matmul", spy)
         conv2d(x, spec, w)
@@ -260,24 +264,41 @@ class TestConv2dDerivedBound:
     @pytest.mark.parametrize("runs", [2, 3])
     @pytest.mark.parametrize("c_in,c_out,k,stride,padding,h,w_", MULTI_TILE + [(8, 2, 3, 1, 1, 13, 200)])
     def test_dense_bands_shared_by_runs(self, rng, monkeypatch, runs, c_in, c_out, k, stride, padding, h, w_):
-        # a batched pass's image runs each take one run's band divided by
-        # the run count, rounded up: that many GEMMs per image, still within
-        # the derived bound
+        # a batched pass's image runs each keep one run's band and split the
+        # contraction instead: per band, one GEMM per part of ceil(c_in /
+        # runs) whole input channels (runs parts at these widths), reading
+        # its columns of the weights in place, the parts covering c_in*k*k
+        # once. The tile holds one part; the first part's GEMM writes into
+        # the output, each later one into one partial buffer of c_out x
+        # band*wo, added in. Still within the derived bound.
         spec = ConvSpec(c_in, c_out, k, stride, padding)
         ho, wo = conv_out_hw(h, w_, k, stride, padding)
+        band, part, kk = self._band(c_in, k, ho, wo), -(-c_in // runs), k * k
+        itemsize = np.dtype(DTYPE).itemsize
         gemms, matmul = [], np.matmul
 
-        def spy(a, b, **kwargs):
-            gemms.append(b.shape[1])
-            return matmul(a, b, **kwargs)
+        def spy(a, b, out):
+            wts = _root(a)
+            assert a.strides == (c_in * kk * itemsize, itemsize)  # a view of the weights
+            gemms.append(((a.ctypes.data - wts.ctypes.data) // itemsize, a.shape[1], b.shape[1],
+                          _root(b).nbytes, _root(out).nbytes))
+            return matmul(a, b, out=out)
         monkeypatch.setattr(np, "matmul", spy)
         token = tensor.RUNS.set(runs)
         try:
             self._check(rng, spec, h, w_)
         finally:
             tensor.RUNS.reset(token)
-        band = -(-self._band(c_in, k, ho, wo) // runs)
-        assert len(gemms) == 2 * -(-ho // band) and sum(gemms) == 2 * ho * wo
+        assert -(-c_in // part) == runs
+        widths = [min(band, ho - r0) * wo for r0 in range(0, ho, band)]
+        assert [sites for *_, sites, _, _ in gemms] == [n for n in 2 * widths for _ in range(runs)]
+        for g in range(0, len(gemms), runs):
+            parts = gemms[g:g + runs]
+            assert [(col, cols) for col, cols, *_ in parts] == [
+                (c0 * kk, (min(c0 + part, c_in) - c0) * kk) for c0 in range(0, c_in, part)]
+            assert all(tile == part * kk * band * wo * itemsize for *_, tile, _ in parts)
+            assert parts[0][-1] == 2 * c_out * ho * wo * itemsize
+            assert all(acc == c_out * band * wo * itemsize for *_, acc in parts[1:])
 
     def test_dense_peak_memory_under_half_the_patch_matrix(self, rng):
         spec = ConvSpec(32, 16, 3, 1, 1)

@@ -370,8 +370,9 @@ class TestSpans:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_every_run_reads_the_run_count(self, cpus, monkeypatch):
-        # tensor.RUNS divides each image run's transient bands, so each run
-        # must read how many runs share the pass; the caller's stays 1
+        # tensor.RUNS splits each image run's dense conv contractions and
+        # divides its SiLU band, so each run must read how many runs share
+        # the pass; the caller's stays 1
         monkeypatch.setattr(weights_module, "_MIN_SPAN", 1)
         monkeypatch.setattr(weights_module, "_usable_cpus", lambda: cpus)
         seen = []

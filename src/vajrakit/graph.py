@@ -471,21 +471,23 @@ class Model:
         thread, as image runs cut by ``weights.run_spans`` (each image weighs
         one whole span, so one run per image up to the CPU count), each a
         walk over a contiguous slice of the batch, joined once at the end.
-        ``run_spans`` sets the run count (``tensor.RUNS``) in each run: each
-        dense conv keeps one walk's GEMM width and splits its contraction
-        into that many parts, and the SiLU band is divided by it, so the
-        runs together peak about where one walk does. A run over the whole
-        batch keeps each keyed output as its node returned it. Any other run
+        ``run_spans`` sets the run count (``tensor.RUNS``) in each run: a
+        dense conv splits its contraction into that many parts where that
+        saves tile memory, and the SiLU band is divided by it, so the runs
+        together peak about where one walk does. A run over the whole batch
+        keeps each keyed output as its node returned it. Any other run
         writes it into its slice of one (n, c, h, w) array, which the first
         run to reach that node allocates, and walks on with that slice, so
-        no run holds a second copy. A batched image's bytes depend on the
-        run count (it sets how each dense conv splits its sums), never on
-        the BLAS thread count. A batch of one, a pass under an installed
-        backend, or a BLAS with no thread setter takes one walk on the
-        caller."""
+        no run holds a second copy. Under an installed backend, or with a
+        BLAS that has no thread setter, the runs are counted but the batch
+        is one walk on the caller (a backend sees one walk's ops), with
+        ``RUNS`` set to their count. So a batched image's bytes depend on
+        the run count (it sets how each dense conv splits its sums), never
+        on the schedule, nor, where a setter holds it, on the BLAS thread
+        count."""
         check_tensor4(x, "model input")
         n = x.shape[0]
-        hold = weights.one_blas_thread() if n > 1 and installed_backend() is None else None
+        hold = weights.one_blas_thread() if n > 1 else None
         outs = dict.fromkeys(key.values())
         lock = threading.Lock()
 
@@ -506,11 +508,12 @@ class Model:
             for node, y in self.walk(x[i:j], functools.partial(place, i, j)):
                 del y
 
+        spans = [weights._MIN_SPAN] * n
         if hold is None:
-            run(0, n)
+            weights.run_spans(run, spans, threads=False)
         else:
             with hold:
-                weights.run_spans(run, [weights._MIN_SPAN] * n)
+                weights.run_spans(run, spans, threads=installed_backend() is None)
         return outs
 
     def forward(self, x: np.ndarray) -> dict:

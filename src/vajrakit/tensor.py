@@ -14,7 +14,7 @@ band is at most TILE_BYTES and at most the rows a MIN_SITES-wide GEMM needs.
 The image runs (``RUNS``) that share a batched pass keep that band and split
 the contraction instead: a band is then one GEMM per part of whole input
 channels, the first into the output, each later one into a partial buffer
-added onto it.
+added onto it, a slice of output channels at a time.
 A 1x1 stride-1 unpadded conv multiplies a reshape of the input, with no copy.
 Grouped and depthwise convolution accumulate one small contraction per
 kernel tap over shifted, strided views of the padded input. Pooling is a
@@ -266,17 +266,14 @@ TILE_BYTES = 4 << 20
 MIN_SITES = 1024
 
 # How many image runs share the pass: ``weights.run_spans`` sets it to its
-# run count in each worker's context, so each image run of a batched pass
-# reads it. The runs' transients together take about what one run's would:
-# a dense conv splits its contraction into RUNS parts of ceil(c_in / RUNS)
-# whole input channels, and its tile holds one part at a time, while a SiLU
-# band is one run's divided by RUNS, rounded up. With one run's tiles in
-# each run, two runs at P3's 20x20 3x3 convs took preset M train, batch 4
-# @160, from 20.14 to 21.12 MB. Dividing the band instead keeps the peak but
-# narrows the GEMMs: a (256x2304) @ (2304x100) GEMM, as in M's 256-channel
-# 3x3 convs on 10x10 maps at 160, took 659 us whole, 841 us as two 50-site
-# halves and 668 us as two K halves plus one add (medians of 7; 2-vCPU
-# Xeon, OpenBLAS 0.3.31, one thread).
+# run count in each run's context, so each image run of a batched pass reads
+# it. The runs' transients together take about what one run's would, and
+# every GEMM keeps one run's width: a dense conv splits its contraction into
+# RUNS parts of ceil(c_in / RUNS) whole input channels, its tile holds one
+# part at a time, and each later part's product goes through a partial
+# buffer of ceil(c_out / RUNS) output channels. It splits only where the
+# tile it saves is larger than that buffer. A SiLU band is one run's divided
+# by RUNS, rounded up. README's "Feature-map memory" gives the measurements.
 RUNS: contextvars.ContextVar = contextvars.ContextVar("vajrakit_runs", default=1)
 
 
@@ -295,7 +292,8 @@ def _dense_conv(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, out: np.ndar
     one band of whole output rows at a time (see TILE_BYTES), straight from
     the unpadded input, and each band's rows one part of whole channels at a
     time (see RUNS): the first part's GEMM writes the output band, each later
-    one a partial buffer of c_out x band*wo that is added onto it."""
+    one a partial buffer that is added onto it, one slice of ceil(c_out /
+    RUNS) output channels at a time."""
     n, c, h, w = x.shape
     k, s, p = spec.k, spec.stride, spec.padding
     ho, wo = out.shape[2:]
@@ -306,12 +304,16 @@ def _dense_conv(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, out: np.ndar
         return
     tiles = -(-ho // max(1, TILE_BYTES // (c * k * k * wo * x.itemsize)))
     band = min(-(-MIN_SITES // wo), -(-ho // tiles))
-    part = -(-c // RUNS.get())  # input channels per contraction part
+    runs = RUNS.get()
+    part = -(-c // runs)  # input channels per contraction part
+    chunk = -(-spec.c_out // runs)  # output channels per partial product
+    if (c - part) * k * k <= chunk:  # the tile it saves is no larger than a partial buffer
+        part = c
     # a tap's padding columns are the same in every band, never written and
     # so zero from here on; its padding rows differ per band and are zeroed
     # where they fall
     buf = np.zeros((part, k, k, band, wo), DTYPE)
-    acc = np.empty((spec.c_out, band * wo), DTYPE) if part < c else None
+    acc = np.empty((chunk, band * wo), DTYPE) if part < c else None
     cols = [_valid(j - p, w, s, 0, wo) for j in range(k)]
     for b in range(n):
         for r0 in range(0, ho, band):
@@ -335,7 +337,9 @@ def _dense_conv(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, out: np.ndar
                 if c0 == 0:
                     np.matmul(a, patches, out=dst_band)
                 else:
-                    dst_band += np.matmul(a, patches, out=acc[:, :rows * wo])
+                    for o0 in range(0, spec.c_out, chunk):
+                        o1 = min(o0 + chunk, spec.c_out)
+                        dst_band[o0:o1] += np.matmul(a[o0:o1], patches, out=acc[:o1 - o0, :rows * wo])
 
 
 @_hooked

@@ -23,8 +23,10 @@ block (by their arrays' sizes) and ``load`` the tensors of the file, read by
 but its arrays, so the bytes do not depend on the split. A batched forward
 pass runs its images this way too, with OpenBLAS held at one thread
 (``one_blas_thread``). ``run_spans`` alone knows how many runs it made: it
-sets that count as ``tensor.RUNS`` in each worker, where it splits each
-dense conv's contraction into that many parts and divides the SiLU band.
+sets that count as ``tensor.RUNS`` in each worker, where it splits dense
+conv contractions into that many parts and divides the SiLU band. A pass
+that must stay on one thread asks it to count the runs without starting
+them, and walks the whole batch with that count, so its bytes are theirs.
 """
 from __future__ import annotations
 
@@ -165,7 +167,7 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_spans(work, sizes) -> None:
+def run_spans(work, sizes, threads: bool = True) -> None:
     """Call ``work(i, j)`` on contiguous runs [i, j) of items whose element
     counts are `sizes`, laid end to end: one run per usable CPU, each of at
     least 2^20 elements, with every item whole in the run that holds its
@@ -173,9 +175,13 @@ def run_spans(work, sizes) -> None:
     thread each, in a copy of the caller's context (so an
     ``override_backend`` set by the caller holds there too) with
     ``tensor.RUNS`` set to the number of runs; every worker is joined before
-    return, and a worker's error is raised in the caller. A batched forward
-    pass (``graph.Model._pass``) gives each image the weight of one whole
-    span, so it gets one run per image up to the CPU count."""
+    return, and a worker's error is raised in the caller. With `threads`
+    false they are counted but not started: one ``work(0, len(sizes))``
+    goes on the calling thread, in a copy of its context with ``RUNS`` set
+    to that count, so work whose items do not depend on each other computes
+    what the runs would. A batched forward pass (``graph.Model._pass``)
+    gives each image the weight of one whole span, so it gets one run per
+    image up to the CPU count."""
     total = sum(sizes)
     parts = max(1, min(_usable_cpus(), total // _MIN_SPAN))
     starts = itertools.accumulate(sizes, initial=0)
@@ -187,9 +193,12 @@ def run_spans(work, sizes) -> None:
         return
 
     def counted(i, j):
-        RUNS.set(len(runs))  # in this worker's own copy of the caller's context
+        RUNS.set(len(runs))  # in its own copy of the caller's context
         work(i, j)
 
+    if not threads:
+        contextvars.copy_context().run(counted, 0, len(sizes))
+        return
     with ThreadPoolExecutor(len(runs)) as pool:  # joins every worker on exit
         futures = [pool.submit(contextvars.copy_context().run, counted, i, j) for i, j in runs]
         for done in futures:

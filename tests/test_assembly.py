@@ -1202,6 +1202,11 @@ class TestUpsampleIntoConcat:
 
 
 _BLAS = weights_module._openblas()
+# What run_spans allocates for each run it starts: a Thread with its locks and
+# started Event, a Future with its Condition, a work item and a context copy.
+# Traced on Python 3.11: 9.5-11.3 KB for 2 runs, 14.2-14.5 KB for 3, 15.5-16.2
+# KB for 4 (30 repeats each), at most 5.7 KB a run; so 8 KB a run.
+RUN_MACHINERY = 8 << 10
 
 
 class OpLog:
@@ -1257,13 +1262,24 @@ class TestBatchedPass:
 
     def test_one_walk_without_a_blas_thread_setter(self, monkeypatch):
         # no setter: one walk on the caller, bit for bit as under a backend
-        # that defines no op, and no runs (run_spans is not called)
+        # that defines no op, and no runs started (run_spans only counts
+        # them, so it starts no thread)
         monkeypatch.setattr(weights_module, "_usable_cpus", lambda: 2)
         model, x = _batch("N fused", 2)
         with override_backend(object()):
             want = model.stage_outputs(x)
         monkeypatch.setattr(weights_module, "_openblas", lambda: None)
-        monkeypatch.setattr(weights_module, "run_spans", None)
+        monkeypatch.setattr(weights_module, "ThreadPoolExecutor", None)
+        _assert_same_outputs(model.stage_outputs(x), want)
+
+    @pytest.mark.parametrize("label", LABELS)
+    def test_backend_pass_bytes_equal_the_runs(self, label, monkeypatch):
+        # under a backend the batch is one walk on the caller, with the run
+        # count the runs would have, so each image's bytes are theirs
+        monkeypatch.setattr(weights_module, "_usable_cpus", lambda: 2)
+        model, x = _batch(label, 4)
+        with override_backend(object()):
+            want = model.stage_outputs(x)
         _assert_same_outputs(model.stage_outputs(x), want)
 
     def test_blas_count_restored_after_a_pass_and_after_a_failed_run(self, monkeypatch):
@@ -1318,41 +1334,57 @@ class TestBatchedPass:
         assert logs[0] == logs[1] and len(logs[0]) > 0
 
     def test_two_runs_peak_within_one_run(self, monkeypatch):
-        # The runs share one run's transients, so two of them running side
-        # by side peak no higher than one run of the whole batch, plus what
-        # the second run costs of its own:
+        # The runs share one run's transients, so 2, 3 or 4 of them running
+        # side by side peak no higher than one run of the whole batch, plus
+        # what each run past the first costs of its own:
         # - run_spans' thread machinery (threads, futures, contexts), counted
-        #   as the traced peak of the same runs doing nothing;
-        # - the second walk's bookkeeping (dict and list entries, view
+        #   as the traced peak of the same runs doing nothing, and under
+        #   RUN_MACHINERY a run;
+        # - that run's walk bookkeeping (dict and list entries, view
         #   headers), within the 16 KB test_peak_within_live_plus_transient_table
         #   allows one walk;
-        # - inside a dense conv that splits its contraction, one partial
-        #   buffer per run (c_out x band*wo, at most one image's output) and,
-        #   for an odd c_in, one more channel of tile. These count only if
-        #   the peak falls inside such a conv, and it does not: the one walk's
-        #   traced peak inside each, plus them, stays within its pass peak.
+        # - inside a dense conv, each run's own transient (its tile part and
+        #   partial buffer), larger than its share of one walk's. This counts
+        #   only if the peak falls inside such a conv, and it does not: with
+        #   the runs in lockstep, the one walk's traced peak inside each conv,
+        #   less that walk's transient there, plus `runs` times one run's,
+        #   stays within the pass peak. One run's transient is measured in a
+        #   walk under a backend, which reads the runs' count.
         model, x = _batch("M train", 4)
-        peaks = {}
-        for cpus in (1, 2):
-            monkeypatch.setattr(weights_module, "_usable_cpus", lambda cpus=cpus: cpus)
-            model.stage_outputs(x)  # warm
-            peaks[cpus] = _traced_peak(lambda: model.stage_outputs(x))
 
-        def idle_runs():
-            weights_module.run_spans(lambda i, j: None, [weights_module._MIN_SPAN] * len(x))
-        idle_runs()  # warm
-        machinery = _traced_peak(idle_runs)
-        assert peaks[2] <= peaks[1] + machinery + (16 << 10)
+        def peak(cpus, fn):
+            monkeypatch.setattr(weights_module, "_usable_cpus", lambda: cpus)
+            fn()  # warm
+            return _traced_peak(fn)
+        one = peak(1, lambda: model.stage_outputs(x))
+        for runs in (2, 3, 4):
+            machinery = peak(runs, lambda: weights_module.run_spans(
+                lambda i, j: None, [weights_module._MIN_SPAN] * len(x)))
+            assert machinery <= runs * RUN_MACHINERY, runs
+            assert peak(runs, lambda: model.stage_outputs(x)) <= one + machinery + (runs - 1) * (16 << 10), runs
 
-        inside, dense = [], tensor._dense_conv
+        dense = tensor._dense_conv
 
-        def spy(x, spec, weights, out):
-            tracemalloc.reset_peak()
-            dense(x, spec, weights, out)
-            if (spec.k, spec.stride, spec.padding) != (1, 1, 0):
-                extra = 2 * out[0].nbytes + spec.k ** 2 * out[0, 0].nbytes
-                inside.append(tracemalloc.get_traced_memory()[1] + extra)
-        monkeypatch.setattr(tensor, "_dense_conv", spy)
-        monkeypatch.setattr(weights_module, "_usable_cpus", lambda: 1)
-        _traced_peak(lambda: model.stage_outputs(x))
-        assert inside and max(inside) <= peaks[1]
+        def inside(runs):
+            # (traced peak, own transient) inside each im2col conv of one walk
+            seen = []
+
+            def spy(x, spec, weights, out):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                dense(x, spec, weights, out)
+                if (spec.k, spec.stride, spec.padding) != (1, 1, 0):
+                    at = tracemalloc.get_traced_memory()[1]
+                    seen.append((at, at - before))
+            monkeypatch.setattr(weights_module, "_usable_cpus", lambda: runs)
+            monkeypatch.setattr(tensor, "_dense_conv", spy)
+            with override_backend(object()):
+                _traced_peak(lambda: model.stage_outputs(x))
+            monkeypatch.setattr(tensor, "_dense_conv", dense)
+            return seen
+        lone = inside(1)
+        assert lone
+        for runs in (2, 3, 4):
+            each = inside(runs)
+            assert len(each) == len(lone)
+            assert all(at - own + runs * run <= one for (at, own), (_, run) in zip(lone, each)), runs

@@ -262,26 +262,34 @@ class TestConv2dDerivedBound:
         assert len(tiles) == 2 * -(-ho // self._band(c_in, k, ho, wo))
 
     @pytest.mark.parametrize("runs", [2, 3])
-    @pytest.mark.parametrize("c_in,c_out,k,stride,padding,h,w_", MULTI_TILE + [(8, 2, 3, 1, 1, 13, 200)])
+    @pytest.mark.parametrize("c_in,c_out,k,stride,padding,h,w_", MULTI_TILE + [
+        (8, 2, 3, 1, 1, 13, 200), (3, 64, 3, 2, 1, 40, 40)])
     def test_dense_bands_shared_by_runs(self, rng, monkeypatch, runs, c_in, c_out, k, stride, padding, h, w_):
         # a batched pass's image runs each keep one run's band and split the
-        # contraction instead: per band, one GEMM per part of ceil(c_in /
-        # runs) whole input channels (runs parts at these widths), reading
-        # its columns of the weights in place, the parts covering c_in*k*k
-        # once. The tile holds one part; the first part's GEMM writes into
-        # the output, each later one into one partial buffer of c_out x
-        # band*wo, added in. Still within the derived bound.
+        # contraction instead: per band, runs parts of ceil(c_in / runs) whole
+        # input channels, each GEMM reading its block of the weights in place,
+        # the parts covering c_in*k*k once, in order. The tile holds one part.
+        # The first part's GEMM writes the output band; each later part's
+        # product goes one slice of ceil(c_out / runs) output channels at a
+        # time through a partial buffer of that many rows, added in. A conv
+        # whose split would save fewer tile rows than the buffer holds (the
+        # last case, M's 3-channel stem) keeps one part. Still within the
+        # derived bound.
         spec = ConvSpec(c_in, c_out, k, stride, padding)
         ho, wo = conv_out_hw(h, w_, k, stride, padding)
-        band, part, kk = self._band(c_in, k, ho, wo), -(-c_in // runs), k * k
+        band, kk = self._band(c_in, k, ho, wo), k * k
+        part, chunk = -(-c_in // runs), -(-c_out // runs)
+        split = (c_in - part) * kk > chunk
+        assert split == (c_in != 3)
+        part = part if split else c_in
         itemsize = np.dtype(DTYPE).itemsize
         gemms, matmul = [], np.matmul
 
         def spy(a, b, out):
             wts = _root(a)
             assert a.strides == (c_in * kk * itemsize, itemsize)  # a view of the weights
-            gemms.append(((a.ctypes.data - wts.ctypes.data) // itemsize, a.shape[1], b.shape[1],
-                          _root(b).nbytes, _root(out).nbytes))
+            gemms.append((divmod((a.ctypes.data - wts.ctypes.data) // itemsize, c_in * kk), a.shape,
+                          b.shape[1], _root(b).nbytes, _root(out).nbytes))
             return matmul(a, b, out=out)
         monkeypatch.setattr(np, "matmul", spy)
         token = tensor.RUNS.set(runs)
@@ -289,16 +297,18 @@ class TestConv2dDerivedBound:
             self._check(rng, spec, h, w_)
         finally:
             tensor.RUNS.reset(token)
-        assert -(-c_in // part) == runs
-        widths = [min(band, ho - r0) * wo for r0 in range(0, ho, band)]
-        assert [sites for *_, sites, _, _ in gemms] == [n for n in 2 * widths for _ in range(runs)]
-        for g in range(0, len(gemms), runs):
-            parts = gemms[g:g + runs]
-            assert [(col, cols) for col, cols, *_ in parts] == [
-                (c0 * kk, (min(c0 + part, c_in) - c0) * kk) for c0 in range(0, c_in, part)]
-            assert all(tile == part * kk * band * wo * itemsize for *_, tile, _ in parts)
-            assert parts[0][-1] == 2 * c_out * ho * wo * itemsize
-            assert all(acc == c_out * band * wo * itemsize for *_, acc in parts[1:])
+        tile = part * kk * band * wo * itemsize
+        want = []
+        for sites in 2 * [min(band, ho - r0) * wo for r0 in range(0, ho, band)]:
+            for c0 in range(0, c_in, part):
+                cols = (min(c0 + part, c_in) - c0) * kk
+                if c0 == 0:
+                    want.append(((0, 0), (c_out, cols), sites, tile, 2 * c_out * ho * wo * itemsize))
+                else:
+                    want += [((o0, c0 * kk), (min(chunk, c_out - o0), cols), sites, tile,
+                              chunk * band * wo * itemsize) for o0 in range(0, c_out, chunk)]
+        assert -(-c_in // part) == (runs if split else 1)
+        assert gemms == want
 
     def test_dense_peak_memory_under_half_the_patch_matrix(self, rng):
         spec = ConvSpec(32, 16, 3, 1, 1)

@@ -380,6 +380,18 @@ class TestSpans:
         assert seen == [cpus] * cpus
         assert T.RUNS.get() == 1
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_runs_counted_but_not_started_without_threads(self, cpus, monkeypatch):
+        # threads=False: one call over every item, on the caller, reading
+        # the count the runs would have; the caller's stays 1
+        monkeypatch.setattr(weights_module, "_MIN_SPAN", 1)
+        monkeypatch.setattr(weights_module, "_usable_cpus", lambda: cpus)
+        seen = []
+        weights_module.run_spans(lambda i, j: seen.append((i, j, T.RUNS.get(), threading.current_thread())),
+                                 [1, 1, 1], threads=False)
+        assert seen == [(0, 3, cpus, threading.current_thread())]
+        assert T.RUNS.get() == 1
+
     @pytest.mark.parametrize("sizes, cpus, want", [
         ([2, 6], 2, [(0, 1), (1, 2)]),  # middles 1 and 5 either side of the cut at 4
         ([1, 1, 6], 2, [(0, 2), (2, 3)]),

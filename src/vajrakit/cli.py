@@ -122,11 +122,12 @@ def cmd_reparam_check(args) -> int:
 
 def _worst_node(base: Model, fused: Model, shape, seed) -> str:
     """Per-node max diff on one random input, for the failure diagnostic; the
-    two models run in lockstep, so only the current node's outputs are held."""
+    two models run in lockstep, so only the current node's outputs (a concat
+    view copied) are held."""
     x = np.random.default_rng(seed).standard_normal(shape).astype(DTYPE)
     worst, worst_d = "?", -1.0
     for (node, a), (_, b) in zip(base.walk(x), fused.walk(x), strict=True):
-        d = float(np.abs(a - b).max())
+        d = float(np.abs(np.asarray(a) - np.asarray(b)).max())
         del a, b
         if d > worst_d:
             worst, worst_d = node.id, d

@@ -30,7 +30,6 @@ from __future__ import annotations
 import functools
 import inspect
 import threading
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +37,7 @@ import numpy as np
 from . import blocks as B
 from . import weights
 from .cost import MetaBackend
-from .tensor import (DTYPE, ShapeError, backend_op, check_tensor4, concat_channels,
+from .tensor import (DTYPE, RUNS, ConcatView, ShapeError, check_tensor4, concat_channels,
                      installed_backend, override_backend, upsample_nearest, zero_view)
 
 _IO = {"in": "c_in", "out": "c_out"}
@@ -355,37 +354,6 @@ def propagate_shapes(graph: ModelGraph, c: int, h: int, w: int) -> dict:
     return {"input": (c, h, w), **{node.id: out for node, out, _ in static_walk(graph, c, h, w)}}
 
 
-def _upsample_targets(nodes) -> dict:
-    """Upsample node id -> the concat it can write into: the node right after
-    it, which is its one reader and names it once, so that the concat's other
-    sources are all live when the upsample runs. An upsample that is the last
-    node of its stage tag is left out: ``stage_outputs`` returns it, and as a
-    view it would keep the whole concat alive."""
-    readers = Counter(s for node in nodes for s in node.inputs)
-    returned = {node.stage: node.id for node in nodes if node.stage is not None}
-    return {up.id: cat for up, cat in zip(nodes, nodes[1:])
-            if up.kind == "upsample" and cat.kind == "concat" and readers[up.id] == 1
-            and up.id in cat.inputs and returned.get(up.stage) != up.id}
-
-
-def _upsample(x: np.ndarray, nid: str, cat: BlockNode | None, live: dict, made: dict) -> np.ndarray:
-    """Upsample x for node `nid`. When `cat` is the concat it writes into, no
-    backend defines either op, and the concat's other sources in `live` fit
-    beside it, build the concat into `made` with a zero placeholder in nid's
-    slot and upsample into that slot. Otherwise the upsample is made alone and
-    the concat node concatenates (and names a misfit in its error), so a
-    backend sees each op once, as the graph states it."""
-    n, c, h, w = x.shape
-    shape = (n, c, 2 * h, 2 * w)
-    paired = cat and not (backend_op("upsample_nearest") or backend_op("concat_channels"))
-    parts = [zero_view(shape) if s == nid else live[s] for s in cat.inputs] if paired else []
-    if not parts or any(p.shape[0] != n or p.shape[2:] != shape[2:] for p in parts):
-        return upsample_nearest(x)
-    c0 = sum(p.shape[1] for p in parts[:cat.inputs.index(nid)])
-    made[cat.id] = buf = concat_channels(parts)
-    return upsample_nearest(x, out=buf[:, c0:c0 + c])
-
-
 class Model:
     """A graph bound to concrete blocks; executes the DAG in node order."""
 
@@ -427,21 +395,18 @@ class Model:
         The walk itself holds an output only until its last consumer has
         collected its inputs, and hands a block or upsample node its one input
         off the source list, so the node alone holds it while it runs (a block
-        drops its input after its last reader). When no backend defines
-        either op, an upsample node that ``_upsample_targets`` pairs with a
-        concat makes that concat's output when it runs and writes its own
-        into its channel slot: its output is a view of the concat's, which
-        the concat node then yields, and no upsampled map is copied. With
-        `place`, each output y is replaced by ``place(node, y)``, which the
-        walk then holds for later nodes and yields (``_pass`` stores outputs
-        through it). A caller that needs an output longer keeps its own
-        reference, and should drop the ones it does not before resuming."""
+        drops its input after its last reader). A concat node's output is a
+        ``ConcatView``: it holds no buffer of its own, and its parts live as
+        long as it does. With `place`, each output y is replaced by
+        ``place(node, y)``, which the walk then holds for later nodes and
+        yields (``_pass`` stores outputs through it). A caller that needs an
+        output longer keeps its own reference, and should drop the ones it
+        does not before resuming."""
         check_tensor4(x, "model input")
         self.graph.check_input_channels(x.shape[1])
         nodes = self.graph.nodes
         last_use = {s: i for i, node in enumerate(nodes) for s in node.inputs}
-        into = _upsample_targets(nodes)
-        live, made = {"input": x}, {}
+        live = {"input": x}
         for i, node in enumerate(nodes):
             srcs = [live[s] for s in node.inputs]
             for s in node.inputs:
@@ -449,9 +414,9 @@ class Model:
                     live.pop(s, None)  # a concat may name one source twice
             try:
                 if node.kind == "concat":
-                    y = made.pop(node.id) if node.id in made else concat_channels(srcs)
+                    y = concat_channels(srcs)
                 elif node.kind == "upsample":
-                    y = _upsample(srcs.pop(), node.id, into.get(node.id), live, made)
+                    y = upsample_nearest(srcs.pop())
                 else:
                     y = self.blocks[node.id].forward(srcs.pop())
             except (ValueError, ShapeError) as e:
@@ -473,40 +438,62 @@ class Model:
         walk over a contiguous slice of the batch, joined once at the end.
         ``run_spans`` sets the run count (``tensor.RUNS``) in each run: a
         dense conv splits its contraction into that many parts where that
-        saves tile memory, and the SiLU band is divided by it, so the runs
-        together peak about where one walk does. A run over the whole batch
-        keeps each keyed output as its node returned it. Any other run
-        writes it into its slice of one (n, c, h, w) array, which the first
-        run to reach that node allocates, and walks on with that slice, so
-        no run holds a second copy. Under an installed backend, or with a
-        BLAS that has no thread setter, the runs are counted but the batch
-        is one walk on the caller (a backend sees one walk's ops), with
-        ``RUNS`` set to their count. So a batched image's bytes depend on
-        the run count (it sets how each dense conv splits its sums), never
-        on the schedule, nor, where a setter holds it, on the BLAS thread
-        count."""
+        saves tile memory, and the SiLU band and a concat view's band are
+        divided by it, so the runs together peak about where one walk does.
+        Every keyed output is stored as an array: a ``ConcatView`` is copied
+        into one, while the walk reads on from the view, so ``forward`` and
+        ``stage_outputs`` compute the same bytes. A run over the whole batch
+        keeps any other keyed output as its node returned it. The other runs
+        meet at each
+        keyed node: once each has made its part, one allocates the (n, c, h,
+        w) array, each writes its part into its slice and walks on with that
+        slice (or its view), so no run holds a second copy, and no run's
+        part is allocated while that run still holds its earlier maps. A run
+        that fails breaks the meeting, and the pass raises its error. Under
+        an installed backend, or with a BLAS that has no thread setter, the
+        runs are counted but the batch is one walk on the caller (a backend
+        sees one walk's ops), with ``RUNS`` set to their count. So a batched
+        image's bytes depend on the run count (it sets how each dense conv
+        splits its sums), never on the schedule, nor, where a setter holds
+        it, on the BLAS thread count."""
         check_tensor4(x, "model input")
         n = x.shape[0]
         hold = weights.one_blas_thread() if n > 1 else None
         outs = dict.fromkeys(key.values())
+        meets, failed = {}, []  # node id -> the runs' barrier there; a run's error
         lock = threading.Lock()
 
         def place(i, j, node, y):
             if node.id not in key:
                 return y
             if j - i == n:
-                outs[key[node.id]] = y
+                outs[key[node.id]] = np.asarray(y)
                 return y
-            with lock:  # the first run to reach the node allocates its array
+            with lock:
+                meet = meets.setdefault(node.id, threading.Barrier(RUNS.get()))
+                if failed:
+                    meet.abort()
+            meet.wait()  # every run has made its part before one allocates the array
+            with lock:
+                meets.pop(node.id, None)  # every run holds it by now
                 full = outs[key[node.id]]
                 if full is None:
                     full = outs[key[node.id]] = np.empty((n, *y.shape[1:]), DTYPE)
             full[i:j] = y
-            return full[i:j]
+            return y if type(y) is ConcatView else full[i:j]
 
         def run(i, j):
-            for node, y in self.walk(x[i:j], functools.partial(place, i, j)):
-                del y
+            try:
+                for node, y in self.walk(x[i:j], functools.partial(place, i, j)):
+                    del y
+            except threading.BrokenBarrierError:
+                pass  # another run failed, and run_spans raises its error
+            except BaseException:
+                with lock:
+                    failed.append(True)
+                    for meet in meets.values():
+                        meet.abort()
+                raise
 
         spans = [weights._MIN_SPAN] * n
         if hold is None:

@@ -37,6 +37,7 @@ class ReferenceBackend:
 
     # -- convolution: 6-deep loop nest (batch, group, out-channel, site, field)
     def conv2d(self, x, spec: ConvSpec, weights, bias=None):
+        x = np.asarray(x)  # a concat view is read as its copy
         check_tensor4(x, "conv input")
         if x.shape[1] != spec.c_in:
             raise ShapeError(f"conv expects {spec.c_in} input channels, got {x.shape[1]}")

@@ -3,9 +3,17 @@
 Every computational block in the kit is composed from the ops in this module:
 convolution, pooling, inference-mode batchnorm, activations, softmax, batched
 matmul, elementwise add and product, and channel split/concat. Tensors are
-plain numpy arrays of shape (n, c, h, w), float32 throughout. No op writes
-into an input unless it is passed as ``out``; ``split_channels`` returns
-views of its input.
+numpy arrays of shape (n, c, h, w), float32 throughout, or concat views. No
+op writes into an input unless it is passed as ``out``; ``split_channels``
+returns views of its input.
+
+``concat_channels`` copies nothing: it returns a ``ConcatView``, which holds
+its parts (the parts of a view among its inputs), its ``shape`` and
+``dtype``, and has no way to be written; ``np.asarray`` copies it into one
+array. A dense 1x1 stride-1 conv reads a view band by band. Every other op
+is handed its copy (``_hooked`` makes it; ``conv2d`` for any other conv),
+as is a backend's op, except a backend's ``conv2d``, which gets the view,
+and its ``concat_channels``, which gets the list.
 
 Dense convolution is a BLAS matmul over the im2col patch matrix, built one
 band of output rows at a time straight from the unpadded input (zeros where
@@ -15,7 +23,9 @@ The image runs (``RUNS``) that share a batched pass keep that band and split
 the contraction instead: a band is then one GEMM per part of whole input
 channels, the first into the output, each later one into a partial buffer
 added onto it, a slice of output channels at a time.
-A 1x1 stride-1 unpadded conv multiplies a reshape of the input, with no copy.
+A 1x1 stride-1 unpadded conv multiplies a reshape of the input, with no copy,
+or gathers each band of a concat view's parts into one tile and multiplies
+that (see VIEW_BANDS).
 Grouped and depthwise convolution accumulate one small contraction per
 kernel tap over shifted, strided views of the padded input. Pooling is a
 separable reduction: the k row-shifted slices, then the k column-shifted
@@ -27,18 +37,15 @@ there is none. So ``oracle.py`` swaps in its naive ops, and ``cost.py``
 reads shapes and costs off a forward over ``zero_view``s, which hold one
 element whatever their shape. ``mul`` broadcasts its second operand.
 
-Ownership: ``batchnorm_infer``, ``add``, ``activation`` and
-``upsample_nearest`` take ``out=``; the fast path writes its result there
-and returns it, and ``out`` may be an input (except for the upsample). A
-backend's method is never passed ``out``, so callers always use the
-returned array, which under a backend may be a new one (under
-``cost.MetaBackend``, a read-only zero view that nothing writes). A block
-passes as ``out`` only a buffer it got from an op in the same forward and
-no longer reads otherwise: never a block input, a weight or a split part.
-When no backend defines ``upsample_nearest`` or ``concat_channels``
-(``backend_op`` says which ops a backend defines), ``Model.walk`` builds a
-concat before its upsample and passes ``upsample_nearest`` its channel slot;
-otherwise a backend sees each op once, as the graph states it.
+Ownership: three ops take ``out=``: ``batchnorm_infer``, ``add`` and
+``activation``. The fast path writes its result there and returns it, and
+``out`` may be an input. A backend's method is never passed ``out``, so
+callers always use the returned array, which under a backend may be a new
+one (under ``cost.MetaBackend``, a read-only zero view that nothing
+writes). A block passes as ``out`` only a buffer it got from an op in the
+same forward and no longer reads otherwise: never a block input, a weight,
+a split part or a concat view. A concat view owns no buffer: its parts stay
+alive as long as it does, and the ops that made them own them.
 """
 from __future__ import annotations
 
@@ -56,9 +63,30 @@ class ShapeError(ValueError):
     """Tensor geometry violates an op precondition."""
 
 
+class ConcatView:
+    """The channel concatenation of `parts`, none of them copied: what
+    ``concat_channels`` returns. It holds its parts, ``shape`` and ``dtype``,
+    and has no way to be written; ``np.asarray`` copies it into one new
+    array. A dense 1x1 stride-1 conv reads it band by band; every other op
+    copies it first."""
+
+    __slots__ = ("parts", "shape", "__weakref__")
+    dtype = np.dtype(DTYPE)
+
+    def __init__(self, parts: list[np.ndarray]):
+        self.parts = parts
+        n, _, h, w = parts[0].shape
+        self.shape = (n, sum(p.shape[1] for p in parts), h, w)
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a concat view has no array of its own to return uncopied")
+        return np.concatenate(self.parts, axis=1, dtype=dtype)
+
+
 def check_tensor4(x: np.ndarray, name: str = "tensor") -> np.ndarray:
     """Validate the (n, c, h, w) container contract."""
-    if not isinstance(x, np.ndarray) or x.ndim != 4:
+    if not isinstance(x, (np.ndarray, ConcatView)) or len(x.shape) != 4:
         raise ShapeError(f"{name} must be a rank-4 (n, c, h, w) array")
     if min(x.shape) < 1:
         raise ShapeError(f"{name} has an empty dimension: {x.shape}")
@@ -193,11 +221,16 @@ def backend_op(name: str):
 
 def _hooked(op):
     """The one dispatch point: the installed backend's same-named method,
-    called without ``out``, else `op`, which writes into ``out`` if given."""
+    called without ``out``, else `op`, which writes into ``out`` if given.
+    Every op but ``conv2d`` and ``concat_channels`` is handed each
+    ``ConcatView`` argument as its copy."""
     name = op.__name__
+    reads_views = name in ("conv2d", "concat_channels")
 
     @functools.wraps(op)
     def dispatch(*args, **kwargs):
+        if not reads_views and any(type(a) is ConcatView for a in args):
+            args = [np.asarray(a) if type(a) is ConcatView else a for a in args]
         method = backend_op(name)
         if method is None:
             return op(*args, **kwargs)
@@ -265,6 +298,26 @@ def _window_reduce(xp: np.ndarray, k: int, stride: int, ho: int, wo: int, ufunc)
 TILE_BYTES = 4 << 20
 MIN_SITES = 1024
 
+# A 1x1 conv reading a concat view gathers each band of its parts into one
+# tile of every input channel and runs one full-K GEMM into the output band,
+# so it sums as the conv of the copy does where the BLAS runs a band's GEMM
+# with the kernel it runs the whole one with. A band is the fewest equal bands
+# of whole rows that each hold a VIEW_BANDS-th of the map or MIN_SITES // 4
+# sites, whichever is more; each image run of a batched pass cuts it by RUNS.
+# So the tile is a small share of the view, where the copy was all of it:
+# at N's P3 stem at 640 (192 channels at 80x80) a 307 KB tile against
+# 4.92 MB, which takes N's pass peak from 20.34 to 18.82 MB. Measured on N
+# fused @640, X fused @256 and M train 4x3x160x160 (2-vCPU Xeon, OpenBLAS
+# 0.3.31): bands of MIN_SITES sites, the im2col cap, peaked N at 19.24 MB and
+# X at 18.52 MB (16.89 before), since X's P3 stem map (32x32) is one band, a
+# whole copy beside its parts; bands of MIN_SITES // 4 sites alone kept the
+# peaks but took 10% more time in the view-reading convs on N (40 alternating
+# passes) than this rule, which matched copying the view. Equal bands keep
+# each band's GEMM wide: a last band of one 40-wide row (128 x 192 x 40)
+# went to OpenBLAS's small-matrix kernel, which sums in another order; the
+# run cut does the same to N's 6x8 and 3x4 maps at 2x3x96x128.
+VIEW_BANDS = 16
+
 # How many image runs share the pass: ``weights.run_spans`` sets it to its
 # run count in each run's context, so each image run of a batched pass reads
 # it. The runs' transients together take about what one run's would, and
@@ -272,8 +325,9 @@ MIN_SITES = 1024
 # RUNS parts of ceil(c_in / RUNS) whole input channels, its tile holds one
 # part at a time, and each later part's product goes through a partial
 # buffer of ceil(c_out / RUNS) output channels. It splits only where the
-# tile it saves is larger than that buffer. A SiLU band is one run's divided
-# by RUNS, rounded up. README's "Feature-map memory" gives the measurements.
+# tile it saves is larger than that buffer. A SiLU band, and the band of a
+# 1x1 conv reading a concat view, is one run's divided by RUNS, rounded up.
+# README's "Feature-map memory" gives the measurements.
 RUNS: contextvars.ContextVar = contextvars.ContextVar("vajrakit_runs", default=1)
 
 
@@ -293,12 +347,29 @@ def _dense_conv(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, out: np.ndar
     the unpadded input, and each band's rows one part of whole channels at a
     time (see RUNS): the first part's GEMM writes the output band, each later
     one a partial buffer that is added onto it, one slice of ceil(c_out /
-    RUNS) output channels at a time."""
+    RUNS) output channels at a time. A 1x1 stride-1 conv multiplies the input
+    in place, or, if it is a ``ConcatView``, gathers each band of its parts
+    into one tile and multiplies that whole (see VIEW_BANDS)."""
     n, c, h, w = x.shape
     k, s, p = spec.k, spec.stride, spec.padding
     ho, wo = out.shape[2:]
     out = out.reshape(n, spec.c_out, ho * wo)
     wmat = weights.reshape(spec.c_out, c * k * k)
+    if type(x) is ConcatView:  # conv2d copies a view for any other conv
+        sites = max(-(-ho * wo // VIEW_BANDS), MIN_SITES // 4)  # per band of a lone run
+        cap = -(-min(ho, -(-sites // wo)) // RUNS.get())
+        band = -(-ho // -(-ho // cap))  # the fewest equal bands of at most `cap` rows
+        tile = np.empty((c, band * wo), DTYPE)
+        for b in range(n):
+            for r0 in range(0, ho, band):
+                rows = min(band, ho - r0)
+                dst_band, c0 = out[b, :, r0 * wo:(r0 + rows) * wo], 0
+                for part in x.parts:
+                    c1 = c0 + part.shape[1]
+                    tile[c0:c1, :rows * wo].reshape(c1 - c0, rows, wo)[...] = part[b, :, r0:r0 + rows]
+                    c0 = c1
+                np.matmul(wmat, tile[:, :rows * wo], out=dst_band)
+        return
     if k == 1 and s == 1 and p == 0:
         np.matmul(wmat, x.reshape(n, c, h * w), out=out)  # a view of x; no copy
         return
@@ -353,6 +424,8 @@ def conv2d(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, bias: np.ndarray 
     the padded input. Elementwise agreement with the naive loop-nest in
     oracle.py is part of the contract and enforced by the test suite.
     """
+    if type(x) is ConcatView and (spec.k, spec.stride, spec.padding, spec.groups) != (1, 1, 0, 1):
+        x = np.asarray(x)
     check_tensor4(x, "conv input")
     if x.shape[1] != spec.c_in:
         raise ShapeError(f"conv expects {spec.c_in} input channels, got {x.shape[1]}")
@@ -520,8 +593,9 @@ def split_channels(x: np.ndarray, parts: int) -> list[np.ndarray]:
 
 
 @_hooked
-def concat_channels(xs: list[np.ndarray]) -> np.ndarray:
-    """Channel-axis concatenation; inverse of split_channels."""
+def concat_channels(xs: list[np.ndarray]) -> ConcatView:
+    """Channel-axis concatenation, as a ``ConcatView`` of the inputs (a view
+    among them contributes its parts); inverse of split_channels."""
     if not xs:
         raise ShapeError("concat of empty list")
     base = xs[0].shape
@@ -529,7 +603,7 @@ def concat_channels(xs: list[np.ndarray]) -> np.ndarray:
         check_tensor4(x, "concat input")
         if x.shape[0] != base[0] or x.shape[2:] != base[2:]:
             raise ShapeError(f"concat shape mismatch: {x.shape} vs {base}")
-    return np.ascontiguousarray(np.concatenate(xs, axis=1))
+    return ConcatView([p for x in xs for p in (x.parts if type(x) is ConcatView else [x])])
 
 
 @_hooked
@@ -554,15 +628,15 @@ def global_avg_pool(x: np.ndarray) -> np.ndarray:
 
 
 @_hooked
-def upsample_nearest(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Nearest-neighbour 2x spatial upsampling, into `out` if given: x into
-    the even columns of the even rows, then into the odd ones, then the even
-    rows copied onto the odd. (One broadcast write of x took twice as long:
-    its innermost loop is two elements.)"""
+def upsample_nearest(x: np.ndarray) -> np.ndarray:
+    """Nearest-neighbour 2x spatial upsampling: x into the even columns of
+    the even rows, then into the odd ones, then the even rows copied onto
+    the odd. (One broadcast write of x took twice as long: its innermost
+    loop is two elements.)"""
     check_tensor4(x, "upsample input")
     n, c, h, w = x.shape
-    out = _out(out, (n, c, 2 * h, 2 * w))
-    pairs = out.reshape(n, c, h, 2, w, 2)  # splits axes only: a view, even of a strided slot
+    out = np.empty((n, c, 2 * h, 2 * w), DTYPE)
+    pairs = out.reshape(n, c, h, 2, w, 2)  # splits axes only: a view
     pairs[:, :, :, 0, :, 0] = x
     pairs[:, :, :, 0, :, 1] = x
     pairs[:, :, :, 1] = pairs[:, :, :, 0]

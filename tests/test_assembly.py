@@ -3,6 +3,7 @@ import math
 import re
 import struct
 import threading
+import time
 import tracemalloc
 import weakref
 from collections import Counter
@@ -687,9 +688,10 @@ block d type=conv_bn_act in=8 out=4 k=1 s=1 from=c
 """,
 }
 
-# Hand-built graphs around an upsample and a concat: the walk writes the
-# upsample into its concat in the "first", "middle", "last" and "untagged"
-# cases, and copies it as before in the others.
+# Hand-built graphs around an upsample and its concat: the upsample first,
+# middle or last among the concat's sources, with a node between the two,
+# returned as a stage output, untagged, read by a second node, named twice by
+# the concat, or made before another of the concat's sources.
 UPSAMPLE_GRAPHS = {
     "upsample first in its concat": """
 block a type=conv_bn_act in=3 out=4 k=3 s=2 stage=S1 from=input
@@ -788,45 +790,44 @@ def _tagged_from_forward(model, x):
     return want or {final: outs[final]}
 
 
-def _fused_pairs(nodes) -> dict:
-    """Index of each upsample node the walk writes into its concat -> the
-    concat's index: the concat is the next node, its only reader, and names
-    it once, and the upsample is not the last node of its stage tag, which
-    stage_outputs returns."""
-    kept = {node.stage: j for j, node in enumerate(nodes) if node.stage is not None}
-    pairs = {}
-    for u, node in enumerate(nodes):
-        readers = [c for c, r in enumerate(nodes) for s in r.inputs if s == node.id]
-        if node.kind == "upsample" and readers == [u + 1] and nodes[u + 1].kind == "concat" \
-                and kept.get(node.stage) != u:
-            pairs[u] = u + 1
-    return pairs
+def _views(model, x) -> set:
+    """Indices of the nodes whose output is a concat view: each concat node,
+    and each block whose forward ends in a concat (ADown)."""
+    return {j for j, (_, y) in enumerate(model.walk(x)) if type(y) is tensor.ConcatView}
 
 
-def _needed(nodes, i) -> set:
-    """Indices of the nodes whose outputs a pass must hold at the start of node
-    i: those before i that a node >= i still reads, the last node of each
-    stage tag once it has run (an earlier node of the tag is superseded by
-    it), and a concat whose output its upsample node made, from that node on."""
+def _parts(nodes, j) -> set:
+    """Indices of the nodes whose outputs the view of concat node j holds as
+    parts: its sources, each concat among them replaced by that concat's
+    parts (a view concatenated into another hands over its parts)."""
+    index = {node.id: k for k, node in enumerate(nodes)}
+    out = set()
+    for s in nodes[j].inputs:
+        if s != "input":
+            k = index[s]
+            out |= _parts(nodes, k) if nodes[k].kind == "concat" else {k}
+    return out
+
+
+def _needed(nodes, i, views) -> tuple[set, set]:
+    """(held, parts) at the start of node i. Held: the nodes before i whose
+    outputs a node >= i still reads, and the last node of each stage tag once
+    it has run (an earlier node of the tag is superseded by it), unless its
+    output is a view, of which the pass keeps a copy. Parts: those of each
+    held concat, which live as long as it does; a concat holds no buffer of
+    its own."""
     last_use = {s: k for k, node in enumerate(nodes) for s in node.inputs}
     kept = {node.stage: j for j, node in enumerate(nodes) if node.stage is not None}
-    made = {c for u, c in _fused_pairs(nodes).items() if u < i <= c}
-    return made | {j for j in range(i) if last_use.get(nodes[j].id, -1) >= i or kept.get(nodes[j].stage) == j}
+    held = {j for j in range(i) if last_use.get(nodes[j].id, -1) >= i
+            or (kept.get(nodes[j].stage) == j and j not in views)}
+    return held, {k for j in held if nodes[j].kind == "concat" for k in _parts(nodes, j)}
 
 
-def _op_calls(nodes) -> list:
-    """(index of the node whose output it makes, index of the node it starts
-    or None) per hooked op call a pass makes at node level, in order: a fused
-    upsample node makes its concat's output, then its own into it, and its
-    concat node calls nothing."""
-    pairs = _fused_pairs(nodes)
-    calls = []
-    for i in range(len(nodes)):
-        if i in pairs:
-            calls += [(pairs[i], i), (i, None)]
-        elif i not in pairs.values():
-            calls.append((i, i))
-    return calls
+def _buffers(nodes, i, views) -> set:
+    """Indices of the nodes whose buffers are alive at the start of node i:
+    the held ones and their parts, but no concat node."""
+    held, parts = _needed(nodes, i, views)
+    return {j for j in held | parts if nodes[j].kind != "concat"}
 
 
 def _nbytes(outs, nodes, indices) -> int:
@@ -842,9 +843,8 @@ def _root(a: np.ndarray) -> np.ndarray:
 
 
 def _run_node(model, node, srcs):
-    """Run one node as Model.walk does when it writes no upsample into a concat:
-    a block or upsample takes its one input off the list, so the list no
-    longer holds it."""
+    """Run one node as Model.walk does: a block or upsample takes its one
+    input off the list, so the list no longer holds it."""
     if node.kind == "concat":
         return graph_module.concat_channels(srcs)
     if node.kind == "upsample":
@@ -852,25 +852,29 @@ def _run_node(model, node, srcs):
     return model.blocks[node.id].forward(srcs.pop())
 
 
-def _run_handed_over(model, node, outs, dying, cat=None):
+def _run_handed_over(model, node, outs, dying):
     """Run a node on its inputs from outs, those named in dying as copies made
     here and held by nothing but the node, so the traced call owns them and
-    they are freed where the pass frees them. An upsample node with `cat`
-    makes that concat's output and writes into it, as Model.walk does."""
-    copies = {s: outs[s].copy() for s in dying}
-    srcs = [copies[s] if s in copies else outs[s] for s in node.inputs]
-    del copies
-    if cat is not None:
-        return graph_module._upsample(srcs.pop(), node.id, cat, outs, {})
+    they are freed where the pass frees them. A concat input is handed over
+    as the pass hands it: a view of its parts."""
+    nodes = {n.id: n for n in model.graph.nodes}
+
+    def arg(s):
+        if s in nodes and nodes[s].kind == "concat":
+            return graph_module.concat_channels([arg(p) for p in nodes[s].inputs])
+        return outs[s].copy() if s in dying else outs[s]
+
+    srcs = [arg(s) for s in node.inputs]
     return _run_node(model, node, srcs)
 
 
 def _unfused_outputs(model, x) -> dict:
-    """Every node's output, each upsample materialised and copied into its
-    concat: the walk's outputs restated without writing into a concat."""
+    """Every node's output, each node run on its own on arrays and each
+    result copied into an array: a concat view and its reader restated
+    without a view."""
     outs = {"input": x}
     for node in model.graph.nodes:
-        outs[node.id] = _run_node(model, node, [outs[s] for s in node.inputs])
+        outs[node.id] = np.asarray(_run_node(model, node, [outs[s] for s in node.inputs]))
     return outs
 
 
@@ -903,29 +907,32 @@ class TestLiveness:
     def test_only_needed_outputs_alive(self, label, monkeypatch):
         # Every node output is recorded by weakref: block outputs through a
         # stand-in for each Model.blocks entry, concat and upsample outputs
-        # through the graph module's own names (_op_calls says which node each
-        # call makes the output of). At the start of node i the outputs alive
-        # must be exactly those a node >= i still reads, plus the last node of
-        # each stage tag once it has run (an earlier node of the tag is dead
-        # once nothing reads it) and a concat made by its upsample node; once
-        # the pass returns, exactly the outputs it returned.
+        # through the graph module's own names, one call per node. At the
+        # start of node i the outputs alive must be exactly those the pass
+        # holds (_needed) and the parts of each concat view it holds, but no
+        # view among those parts (a view concatenated into another hands over
+        # its parts and dies); once the pass returns, exactly the outputs it
+        # returned.
         model, x = _liveness_case(label)
         nodes = model.graph.nodes
-        calls = _op_calls(nodes)
+        views = _views(model, x)
         refs = []
         mismatches = []
 
         def alive():
-            return {j for j, ref in refs if ref() is not None}
+            return {j for j, ref in enumerate(refs) if ref() is not None}
+
+        def needed(i):
+            held, parts = _needed(nodes, i, views)
+            return held | (parts - views)
 
         def recorded(fn):
             def run(*args, **kwargs):
-                owner, start = calls[len(refs)]
-                if start is not None and alive() != _needed(nodes, start):
-                    extra = sorted(nodes[j].id for j in alive() - _needed(nodes, start))
-                    mismatches.append((nodes[start].id, extra))
+                i = len(refs)
+                if alive() != needed(i):
+                    mismatches.append((nodes[i].id, sorted(nodes[j].id for j in alive() ^ needed(i))))
                 y = fn(*args, **kwargs)
-                refs.append((owner, weakref.ref(y)))
+                refs.append(weakref.ref(y))
                 return y
             return run
 
@@ -938,44 +945,44 @@ class TestLiveness:
         monkeypatch.setattr(graph_module, "concat_channels", recorded(graph_module.concat_channels))
         monkeypatch.setattr(graph_module, "upsample_nearest", recorded(graph_module.upsample_nearest))
         outs = model.stage_outputs(x)
-        assert sorted(owner for owner, _ in refs) == list(range(len(nodes)))
+        assert len(refs) == len(nodes)
         assert mismatches == []
-        assert alive() == {j for j, ref in refs if any(ref() is y for y in outs.values())}
+        assert alive() == {j for j, ref in enumerate(refs) if any(ref() is y for y in outs.values())}
 
     @pytest.mark.parametrize("as_slice", [False, True], ids=["own", "slice"])
     @pytest.mark.parametrize("label", LIVENESS_CASES)
     def test_only_needed_buffers_alive(self, label, as_slice, monkeypatch):
-        # As above, by the buffer each output lives in rather than the output
-        # array itself: blocks write into buffers they own and may return a
-        # view of one, and an upsample written into its concat lives in the
-        # concat's buffer. With as_slice every op returns its output as the
-        # leading channel slice of a buffer twice as wide, so output and
-        # buffer differ; an upsample given out= returns it, a slice already.
-        # At the start of node i the buffers alive must be exactly those of
-        # the outputs _needed names, with both nodes of a fused pair alive
-        # when either is.
+        # As above, by the buffers outputs live in rather than the output
+        # objects: blocks write into buffers they own and may return a view of
+        # one; a concat view holds the buffers of its parts and none of its
+        # own; a block that ends in a concat (ADown) makes the buffers of its
+        # view's parts. With as_slice every op that returns an array returns
+        # it as the leading channel slice of a buffer twice as wide, so output
+        # and buffer differ. At the start of node i the buffers alive must be
+        # exactly those of the nodes _buffers names; once the pass returns,
+        # exactly those of the outputs it returned (a view's is a copy).
         model, x = _liveness_case(label)
         nodes = model.graph.nodes
-        calls, pairs = _op_calls(nodes), _fused_pairs(nodes)
+        views = _views(model, x)
         bufs = []
         mismatches = []
 
-        def needed(i):
-            want = _needed(nodes, i)
-            return want.union(*({u, c} for u, c in pairs.items() if {u, c} & want))
-
         def alive():
-            return {j for j, ref in bufs if ref() is not None}
+            return {j for j, made in enumerate(bufs) if any(ref() is not None for ref in made)}
 
         def recorded(fn):
             def run(*args, **kwargs):
-                owner, start = calls[len(bufs)]
-                if start is not None and alive() != needed(start):
-                    mismatches.append((nodes[start].id, sorted(alive() ^ needed(start))))
+                i = len(bufs)
+                if alive() != _buffers(nodes, i, views):
+                    mismatches.append((nodes[i].id, sorted(nodes[j].id for j in alive() ^ _buffers(nodes, i, views))))
                 y = fn(*args, **kwargs)
-                if as_slice and "out" not in kwargs:
-                    y = np.concatenate([y, y], axis=1)[:, :y.shape[1]]
-                bufs.append((owner, weakref.ref(_root(y))))
+                if type(y) is tensor.ConcatView:
+                    made = [] if nodes[i].kind == "concat" else [_root(part) for part in y.parts]
+                else:
+                    if as_slice:
+                        y = np.concatenate([y, y], axis=1)[:, :y.shape[1]]
+                    made = [_root(y)]
+                bufs.append([weakref.ref(b) for b in made])
                 return y
             return run
 
@@ -988,42 +995,37 @@ class TestLiveness:
         monkeypatch.setattr(graph_module, "concat_channels", recorded(graph_module.concat_channels))
         monkeypatch.setattr(graph_module, "upsample_nearest", recorded(graph_module.upsample_nearest))
         outs = model.stage_outputs(x)
-        assert sorted(owner for owner, _ in bufs) == list(range(len(nodes)))
+        assert len(bufs) == len(nodes)
         assert mismatches == []
-        assert {id(ref()) for j, ref in bufs if j in alive()} == \
-            {id(_root(y)) for y in outs.values()}
+        kept = {node.stage: j for j, node in enumerate(nodes) if node.stage is not None} or {nodes[-1].id: len(nodes) - 1}
+        assert {id(ref()) for j in alive() for ref in bufs[j] if ref() is not None} == \
+            {id(_root(outs[tag])) for tag, j in kept.items() if j not in views}
 
     @pytest.mark.parametrize("label", ["N train", "M train"])
     def test_peak_within_live_plus_transient_table(self, label):
-        # Per node: the bytes of the outputs alive at its start (_needed)
+        # Per node: the bytes of the buffers alive at its start (_buffers)
         # that outlive it, plus its transient, the traced peak of running it
-        # alone (its output, scratch and temporaries). An input the node is
-        # the last to hold dies inside it (a block drops its input after its
-        # last reader), so it is allocated inside the traced call and handed
-        # over as Model.walk hands it; the other inputs are allocated
-        # beforehand and counted as live. An upsample written into its concat
-        # makes the concat's buffer as its transient; that concat node then
-        # allocates nothing, and its row is what is alive at its start.
-        # Outputs that share a buffer count it once. The pass holds nothing
-        # else, so its traced peak is the largest row, give or take the
-        # walk's own bookkeeping: dict and list entries and the array headers
-        # of views, a few KB on the presets' 22-24 nodes.
+        # alone (its output, scratch and temporaries). A buffer alive at its
+        # start and not after it dies inside it (a block drops its input
+        # after its last reader, and a concat view's parts die with it), so
+        # it is allocated inside the traced call and handed over as
+        # Model.walk hands it, a concat input as a view of its parts; the
+        # other inputs are allocated beforehand and counted as live. A concat
+        # node allocates only its view. The pass holds nothing else, so its
+        # traced peak is the largest row, give or take the walk's own
+        # bookkeeping: dict and list entries, view objects and the array
+        # headers of views, a few KB on the presets' 22-24 nodes.
         model, x = _liveness_case(label)
         nodes = model.graph.nodes
-        index = {node.id: j for j, node in enumerate(nodes)}
-        pairs = _fused_pairs(nodes)
-        assert len(pairs) == 2  # up4 into cat4a, up3 into cat3a
-        outs = model.forward(x)
+        views = _views(model, x)
+        kept = {node.stage: j for j, node in enumerate(nodes) if node.stage is not None}
+        assert views and not views & set(kept.values())  # the pass keeps each returned output itself
+        outs = model.forward(x)  # every output as an array, a view as its copy
         rows = []
         for i, node in enumerate(nodes):
-            if i in pairs.values():
-                rows.append(_nbytes(outs, nodes, _needed(nodes, i)))
-                continue
-            held = _needed(nodes, i + 1)
-            dying = {s for s in node.inputs if s != "input" and index[s] not in held}
-            live = _nbytes(outs, nodes, _needed(nodes, i) & held)
-            cat = nodes[pairs[i]] if i in pairs else None
-            rows.append(live + _traced_peak(lambda: _run_handed_over(model, node, outs, dying, cat)))
+            now, after = _buffers(nodes, i, views), _buffers(nodes, i + 1, views)
+            dying = {nodes[j].id for j in now - after}
+            rows.append(_nbytes(outs, nodes, now & after) + _traced_peak(lambda: _run_handed_over(model, node, outs, dying)))
         del outs
         model.stage_outputs(x)  # warm: caches filled on first use are not the pass's
         peak = _traced_peak(lambda: model.stage_outputs(x))
@@ -1065,20 +1067,6 @@ class TestLiveness:
             {"ADown"} if any(node.kind == "adown" for node in graph.nodes) else set())
 
 
-# Whether the walk writes the upsample into its concat, per hand-built graph.
-WRITES_INTO_CONCAT = {
-    "upsample first in its concat": True,
-    "upsample middle in its concat": True,
-    "upsample last in its concat": True,
-    "node between upsample and concat": False,
-    "untagged upsample into concat": True,
-    "upsample returned as a stage output": False,
-    "upsample read by two nodes": False,
-    "concat names the upsample twice": False,
-    "concat source after the upsample": False,
-}
-
-
 def _assert_same_outputs(got, want):
     assert list(got) == list(want)
     for key in want:
@@ -1095,7 +1083,7 @@ class OwnUpsample:
 
 
 class OwnConcat:
-    """A backend defining only concat_channels, which returns a new array."""
+    """A backend defining only concat_channels, which returns the fast path's view."""
 
     def concat_channels(self, xs):
         with override_backend(None):
@@ -1103,13 +1091,15 @@ class OwnConcat:
 
 
 class RecordingMeta(MetaBackend):
-    """MetaBackend recording its concat and upsample calls, in order."""
+    """MetaBackend recording its concat and upsample calls, in order; a
+    concat is handed a list of arrays, never a view."""
 
     def __init__(self):
         super().__init__()
         self.calls = []
 
     def concat_channels(self, xs):
+        assert not any(type(x) is tensor.ConcatView for x in xs)
         self.calls.append("concat_channels")
         return super().concat_channels(xs)
 
@@ -1119,46 +1109,46 @@ class RecordingMeta(MetaBackend):
 
 
 class TestUpsampleIntoConcat:
+    """An upsample read by a concat goes into the concat's view as a part, so
+    no upsampled map is copied; outputs, shapes and costs are those of making
+    each node's result as an array of its own."""
+
     CASES = list(UPSAMPLE_GRAPHS) + [f"{scale} {form}" for scale in SCALES for form in ("train", "fused")]
 
     @pytest.mark.parametrize("label", CASES)
     def test_outputs_equal_upsample_then_concat(self, label):
-        # forward() and stage_outputs bit for bit as when every upsample is
-        # materialised and copied into its concat; the upsample's output is
-        # a view of its concat's exactly where the rule says
+        # forward() and stage_outputs bit for bit as when every node's result
+        # is copied into an array of its own (so each 1x1 conv reading a
+        # concat reads an array, not a view), and each concat's view holds
+        # each of its upsample sources itself
         model, x = _liveness_case(label)
         nodes = model.graph.nodes
-        want = _unfused_outputs(model, x)
-        got = model.forward(x)
-        _assert_same_outputs(got, want)
+        _assert_same_outputs(model.forward(x), _unfused_outputs(model, x))
         _assert_same_outputs(model.stage_outputs(x), _tagged_from_forward(model, x))
-        pairs = _fused_pairs(nodes)
-        if label in WRITES_INTO_CONCAT:
-            assert bool(pairs) == WRITES_INTO_CONCAT[label]
-        else:
-            assert len(pairs) == 2  # each preset's two top-down upsamples
-        for u, node in enumerate(nodes):
-            if node.kind == "upsample":
-                cat = nodes[pairs[u]].id if u in pairs else next(
-                    n.id for n in nodes if node.id in n.inputs and n.kind == "concat")
-                assert np.shares_memory(got[node.id], got[cat]) == (u in pairs), node.id
+        made = {"input": x}
+        for node, y in model.walk(x):
+            made[node.id] = y
+        ups = [(s, node.id) for node in nodes if node.kind == "concat" for s in node.inputs
+               if s != "input" and next(n for n in nodes if n.id == s).kind == "upsample"]
+        assert ups
+        for up, cat in ups:
+            assert any(part is made[up] for part in made[cat].parts), (up, cat)
 
     @pytest.mark.parametrize("label", list(UPSAMPLE_GRAPHS) + ["N train", "X fused"])
-    def test_static_walk_unchanged(self, label, monkeypatch):
-        # propagate_shapes and graph_cost read the same off the walk with
-        # and without writing into concats, and match the runtime shapes
+    def test_static_walk_unchanged(self, label):
+        # propagate_shapes and graph_cost read the shapes the run makes, and
+        # MetaBackend, which defines concat_channels, makes its own zero view
+        # for each concat, so upsample and concat nodes cost nothing
         model, x = _liveness_case(label)
         graph, chw = model.graph, x.shape[1:]
-        shapes, report = propagate_shapes(graph, *chw), graph_cost(graph, chw)
-        outs = _unfused_outputs(model, x)
-        assert shapes == {nid: y.shape[1:] for nid, y in outs.items()}
-        monkeypatch.setattr(graph_module, "_upsample_targets", lambda nodes: {})
-        assert propagate_shapes(graph, *chw) == shapes
-        assert graph_cost(graph, chw).nodes == report.nodes
+        assert propagate_shapes(graph, *chw) == {nid: y.shape[1:] for nid, y in _unfused_outputs(model, x).items()}
+        report = graph_cost(graph, chw)
+        assert [n.name for n in report.nodes] == [node.id for node in graph.nodes]
+        assert all(n.macs == n.params == n.other_ops == 0 for n in report.nodes if n.kind in ("upsample", "concat"))
 
     def test_misfit_concat_error_names_the_concat(self):
-        # the upsample leaves a concat whose sources do not fit to the concat
-        # node, so the static walk and the run both name that node
+        # an upsample whose concat's other sources do not fit it: the static
+        # walk and the run both name the concat node
         graph, _ = parse_config(UPSAMPLE_GRAPHS["upsample first in its concat"])
         with pytest.raises(ShapeError, match="node 'cat'"):
             propagate_shapes(graph, 3, 15, 15)
@@ -1170,8 +1160,8 @@ class TestUpsampleIntoConcat:
     @pytest.mark.parametrize("label", ["upsample middle in its concat", "N fused"])
     def test_backend_defining_one_of_the_two_ops(self, label, backend):
         # a backend that defines either op is handed each op as the graph
-        # states it: the upsample is made alone and the concat node
-        # concatenates, so no upsample output is a view of its concat
+        # states it, with the same outputs; no upsample output shares memory
+        # with the copy forward() keeps of its concat
         model, x = _liveness_case(label)
         want = _unfused_outputs(model, x)
         with override_backend(backend()):
@@ -1182,23 +1172,41 @@ class TestUpsampleIntoConcat:
         assert not any(np.shares_memory(got[u], got[c]) for u, c in cats.items())
 
     @pytest.mark.parametrize("label", [f"{scale} {form}" for scale in SCALES for form in ("train", "fused")])
-    def test_backend_sees_each_op_once(self, label, monkeypatch):
-        # a backend defining both ops sees the concats and upsamples, in the
-        # order, the walk makes when no upsample writes into its concat, and
-        # one upsample per node: no placeholder concat the graph does not state
+    def test_backend_sees_each_op_once(self, label):
+        # a backend defining both ops sees one upsample per upsample node and
+        # a concat per concat node, each handed a list of arrays, and the
+        # walk yields the backend's own result for each concat node
         model, x = _liveness_case(label)
+        nodes = model.graph.nodes
+        meta = RecordingMeta()
+        with override_backend(meta):
+            kinds = [(node.kind, type(y)) for node, y in model.walk(x)]
+        assert meta.calls.count("upsample_nearest") == sum(node.kind == "upsample" for node in nodes)
+        assert meta.calls.count("concat_channels") >= sum(node.kind == "concat" for node in nodes)
+        assert not any(t is tensor.ConcatView for _, t in kinds)
 
-        def calls():
-            meta = RecordingMeta()
-            with override_backend(meta):
-                for _ in model.walk(x):
-                    pass
-            return meta.calls
 
-        got = calls()
-        monkeypatch.setattr(graph_module, "_upsample_targets", lambda nodes: {})
-        assert got == calls()
-        assert got.count("upsample_nearest") == sum(node.kind == "upsample" for node in model.graph.nodes)
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("label", [f"{scale} {form}" for scale in SCALES for form in ("train", "fused")])
+def test_a_pass_copies_no_concat_view_but_the_returned_ones(label, n, monkeypatch):
+    # every concat of the presets is read by 1x1 convs alone, which read the
+    # view band by band: a block that read a concat any other way would copy
+    # the view and give the peak back. Only a returned view is copied (into
+    # its output array), and the presets return none.
+    model, _ = _liveness_case(label)
+    x = np.random.default_rng(3).standard_normal((n, 3, 64, 64)).astype(DTYPE)
+    nodes = model.graph.nodes
+    kept = {node.stage: j for j, node in enumerate(nodes) if node.stage is not None}
+    views = _views(model, x[:1])
+    assert views and not views & set(kept.values())
+    copied, real = [], tensor.ConcatView.__array__
+
+    def counted(self, *args, **kwargs):
+        copied.append(self.shape)
+        return real(self, *args, **kwargs)
+    monkeypatch.setattr(tensor.ConcatView, "__array__", counted)
+    model.stage_outputs(x)
+    assert copied == []
 
 
 _BLAS = weights_module._openblas()
@@ -1294,6 +1302,42 @@ class TestBatchedPass:
         with pytest.raises(ShapeError, match="node 'cat'"):
             model.stage_outputs(np.zeros((2, 3, 15, 15), DTYPE))
         assert get() == before
+
+    def test_a_failed_run_stops_the_others(self, monkeypatch):
+        # the runs meet at each returned node before its array is made; a run
+        # that fails breaks the meeting, so the others stop there instead of
+        # waiting for it, and the pass raises the failing run's error
+        monkeypatch.setattr(weights_module, "_usable_cpus", lambda: 2)
+        graph, _ = parse_config("block a type=conv_bn_act in=3 out=4 k=3 s=1 stage=S1 from=input\n"
+                                "block b type=conv_bn_act in=4 out=4 k=1 s=1 stage=S2 from=a\n")
+        model = Model(graph).bind(init_weights(graph, 0))
+        block, lock, calls, made = model.blocks["a"], threading.Lock(), [], threading.Event()
+
+        class FailsInTheFirstRun:
+            def forward(self, y):
+                with lock:
+                    calls.append(y.shape[0])
+                    first = len(calls) == 1
+                if not first:
+                    out = block.forward(y)
+                    made.set()
+                    return out
+                made.wait(10)
+                time.sleep(0.1)  # the other run waits at the meeting by now
+                raise ShapeError("first run")
+
+        model.blocks["a"] = FailsInTheFirstRun()
+        errors = []
+
+        def run():
+            try:
+                model.stage_outputs(np.zeros((2, 3, 8, 8), DTYPE))
+            except ShapeError as e:
+                errors.append(str(e))
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(60)
+        assert not thread.is_alive() and calls == [1, 1] and errors == ["node 'a': first run"]
 
     def test_runs_read_returned_outputs_back_from_their_slices(self, monkeypatch):
         # a node that reads an output the pass returns is handed its run's

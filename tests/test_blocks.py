@@ -67,6 +67,34 @@ def _leaf(mag, err, leaf):
     return _silu(*_bn(*_conv(mag, err, leaf.spec, leaf.w), leaf.bn))
 
 
+def _repvgg(mag, err, blk):
+    """(mag, err) after a RepVGGBlock without its identity branch: both
+    branch convs differ, then batchnorm, the add and SiLU."""
+    branches = [_bn(*_conv(mag, err, spec, w), bn) for spec, w, bn in
+                ((blk.spec3, blk.w3, blk.bn3), (blk.spec1, blk.w1, blk.bn1))]
+    return _silu(*_add(*branches))
+
+
+def _repcsp(mag, err, blk):
+    """(mag, err) after a RepCSP: cv1 and its RepVGG blocks, plus cv2, then cv3."""
+    y = _leaf(mag, err, blk.cv1)
+    for rep in blk.blocks:
+        y = _repvgg(*y, rep)
+    return _leaf(*_add(y, _leaf(mag, err, blk.cv2)), blk.cv3)
+
+
+def _cat(*pairs):
+    """(mag, err) of a channel concat: its parts' side by side, no rounding."""
+    return tuple(np.concatenate(v, axis=1) for v in zip(*pairs))
+
+
+def _max_pool(mag, err, k, stride, padding):
+    """(mag, err) after a max pool: it rounds nothing and is 1-Lipschitz, so
+    each bound is the window's largest (zero padding leaves a bound of |x|
+    a bound)."""
+    return tuple(_windows(v, k, stride, padding).max(axis=(-2, -1)) for v in (mag, err))
+
+
 class TestRepVGGBlock:
     def test_constructed_identity_passes_activation_only(self, rng):
         blk = B.RepVGGBlock(8, 8)
@@ -162,6 +190,17 @@ class TestMerudandaX:
         with oracle.reference():
             ref = blk.forward(x)
         assert np.abs(fast - ref).max() <= 1e-5
+        # stem, split, the two RepCSP + 3x3 stages on the second half, and
+        # the final 1x1, which reads the concat of the four parts as a view
+        mag, err = np.abs(x.astype(np.float64)), np.zeros(x.shape)
+        stem = _leaf(mag, err, blk.stem)
+        half = blk.stem.spec.c_out // 2
+        a, b = tuple(v[:, :half] for v in stem), tuple(v[:, half:] for v in stem)
+        c = _leaf(*_repcsp(*b, blk.csp1), blk.conv1)
+        d = _leaf(*_repcsp(*c, blk.csp2), blk.conv2)
+        cat = _cat(a, b, c, d)
+        bound = _silu(*_bn(*_conv(*cat, blk.final.spec, blk.final.w), blk.final.bn))[1]
+        assert np.all(np.abs(fast.astype(np.float64) - ref) <= bound)
 
 
 class TestMerudandaDW:
@@ -293,6 +332,13 @@ class TestSPPF:
         with oracle.reference():
             ref = blk.forward(x)
         assert np.abs(fast - ref).max() <= 1e-5
+        # cv1, three chained max pools, and cv2, which reads the concat of
+        # the four maps as a view
+        ys = [_leaf(np.abs(x.astype(np.float64)), np.zeros(x.shape), blk.cv1)]
+        for _ in range(3):
+            ys.append(_max_pool(*ys[-1], blk.k, 1, blk.k // 2))
+        bound = _silu(*_bn(*_conv(*_cat(*ys), blk.cv2.spec, blk.cv2.w), blk.cv2.bn))[1]
+        assert np.all(np.abs(fast.astype(np.float64) - ref) <= bound)
 
 
 class TestAttentionV2:
@@ -419,9 +465,9 @@ class TestADown:
     def test_matches_oracle_composition(self, rng):
         blk = randomize(B.ADown(8, 16), rng, with_bn=True)
         x = rand_input(rng, 1, 8, 8, 8)
-        fast = blk.forward(x)
+        fast = np.asarray(blk.forward(x))  # ADown ends in a concat: its output is a view
         with oracle.reference():
-            ref = blk.forward(x)
+            ref = np.asarray(blk.forward(x))
         assert np.abs(fast - ref).max() <= 1e-5
         # the 2x2 avg pool is within gamma_{K+3} * mean|x| of the oracle's
         # (test_avg_within_derived_bound), the max pool is exact and
@@ -430,8 +476,8 @@ class TestADown:
         mag, err = mean_abs * (1 + gamma(2 * 2 + 3)), gamma(2 * 2 + 3) * mean_abs
         half = blk.cv1.c_in
         a = _leaf(mag[:, :half], err[:, :half], blk.cv1)
-        b = _leaf(*(_windows(v[:, half:], 3, 2, 1).max(axis=(-2, -1)) for v in (mag, err)), blk.cv2)
-        bound = np.concatenate([a[1], b[1]], axis=1)
+        b = _leaf(*_max_pool(mag[:, half:], err[:, half:], 3, 2, 1), blk.cv2)
+        bound = _cat(a, b)[1]
         assert np.all(np.abs(fast.astype(np.float64) - ref) <= bound)
 
 

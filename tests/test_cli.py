@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from vajrakit import cli
 from vajrakit.cost import RATIO_LINE
@@ -273,6 +275,29 @@ def test_shape_beyond_numpy_array_size_is_an_error_line(preset_n, command):
     code, out, err = run_cli(command, "--config", preset_n, "--shape", "1x3x6400000x6400000")
     assert code == 1 and out == ""
     assert err.startswith("error: node 'attn': array is too big") and "Traceback" not in err
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(dims=st.tuples(st.integers(1, 2), st.one_of(st.just(3), st.integers(1, 4)),
+                     *2 * [st.one_of(st.sampled_from([32, 64]), st.integers(1, 48))]),
+       sep=st.sampled_from(["x", "X"]))
+@example(dims=(1, 3, 32, 64), sep="x")
+@example(dims=(2, 3, 64, 32), sep="X")
+def test_any_small_shape_runs_or_is_one_error_line(preset_n, tmp_path, capsys, dims, sep):
+    # --shape is untrusted input: at any small shape, including channel
+    # counts the stem does not take and maps whose neck sizes do not meet,
+    # each command exits 0, or 1 with one error: line and no traceback
+    shape = sep.join(map(str, dims))
+    for command, *extra in (["cost", "--format", "json"], ["forward", "--out", str(tmp_path / "out.vjw")],
+                            ["reparam-check", "--trials", "1"]):
+        code = cli.main([command, "--config", preset_n, "--shape", shape, *extra])
+        out, err = capsys.readouterr()
+        assert code in (0, 1), (command, shape)
+        if code:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (command, shape, err)
+        else:
+            assert err == "" and out, (command, shape)
 
 
 @pytest.mark.parametrize("error, line", [

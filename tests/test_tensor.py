@@ -707,19 +707,6 @@ class TestSmallOps:
         assert got.flags.c_contiguous and got.dtype == DTYPE
         assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_upsample_nearest_into_a_channel_slice(self, rng, n):
-        # the slot of a concat buffer: only the slot is written, bit for bit
-        x = rand_input(rng, n, 3, 4, 5)
-        buf = np.full((n, 8, 8, 10), np.nan, DTYPE)
-        slot = buf[:, 2:5]
-        assert upsample_nearest(x, out=slot) is slot
-        want = x.repeat(2, axis=2).repeat(2, axis=3)
-        assert np.array_equal(slot.view(np.uint32), want.view(np.uint32))
-        assert np.isnan(buf[:, :2]).all() and np.isnan(buf[:, 5:]).all()
-        with pytest.raises(ShapeError):
-            upsample_nearest(x, out=buf[:, :3, :, :9])
-
     def test_finite_outputs(self, rng):
         x = rand_input(rng, 1, 4, 6, 6)
         spec = ConvSpec(4, 4, 3, 1, 1)
@@ -737,6 +724,114 @@ class TestSmallOps:
         gate = rand_input(rng, 2, 3, 1, 1)
         assert np.array_equal(mul(x, gate), x * gate)
         assert np.array_equal(mul(x, DTYPE(0.5)), x * DTYPE(0.5))
+
+
+def _view_band(c_in, ho, wo, runs=1):
+    """Output rows per band of a 1x1 conv reading a concat view: the fewest
+    equal bands of whole rows that each hold a VIEW_BANDS-th of the map or
+    MIN_SITES // 4 sites, whichever is more, cut by the run count."""
+    rows = min(ho, -(-max(-(-ho * wo // tensor.VIEW_BANDS), tensor.MIN_SITES // 4) // wo))
+    rows = -(-rows // runs)
+    return -(-ho // -(-ho // rows))
+
+
+def _parts(rng, n, h, w):
+    """Four parts of 19 channels: the two channel halves of one map (views,
+    not contiguous for n > 1), a map of its own and an upsampled one."""
+    a, b = split_channels(rand_input(rng, n, 12, h, w), 2)
+    return [a, b, rand_input(rng, n, 5, h, w), upsample_nearest(rand_input(rng, n, 2, h // 2, w // 2))]
+
+
+class TestConcatView:
+    def test_holds_its_inputs_uncopied(self, rng):
+        parts = _parts(rng, 2, 8, 6)
+        view = concat_channels(parts)
+        assert type(view) is tensor.ConcatView and view.shape == (2, 19, 8, 6) and view.dtype == DTYPE
+        assert all(p is q for p, q in zip(view.parts, parts))
+        nested = concat_channels([parts[2], view])  # a view among the inputs hands over its parts
+        assert [id(p) for p in nested.parts] == [id(parts[2])] + [id(p) for p in parts]
+        copy = np.asarray(view)
+        assert copy.flags.c_contiguous and np.array_equal(copy, np.concatenate(parts, axis=1))
+        with pytest.raises(ValueError):
+            np.asarray(view, copy=False)
+        with pytest.raises(TypeError):
+            view[0] = 0
+        big = [rand_input(rng, 1, 64, 64, 64)] * 2
+        assert _traced_peak(lambda: concat_channels(big)) < 1 << 10
+
+    @pytest.mark.parametrize("runs", [1, 2, 3])
+    @pytest.mark.parametrize("n,h,w_,c_out", [(1, 40, 24, 7), (2, 16, 16, 3), (1, 6, 4, 5), (2, 64, 10, 4)])
+    def test_1x1_reads_bands_of_gathered_parts(self, rng, monkeypatch, runs, n, h, w_, c_out):
+        # one GEMM per band of equal whole rows, its patch operand every
+        # channel of the band gathered from the parts into one tile: no
+        # contraction split, whatever the run count. The result is the conv
+        # of the copy bit for bit, its bias added after, and within the
+        # derived bound of the oracle.
+        parts = _parts(rng, n, h, w_)
+        view = concat_channels(parts)
+        spec = ConvSpec(19, c_out, 1)
+        w = rng.standard_normal(spec.weight_shape).astype(DTYPE)
+        b = rng.standard_normal(c_out).astype(DTYPE)
+        gemms, matmul = [], np.matmul
+
+        def spy(a, m, out):
+            gemms.append((a.shape, m.shape[1], _root(m).nbytes))
+            return matmul(a, m, out=out)
+        monkeypatch.setattr(np, "matmul", spy)
+        token = tensor.RUNS.set(runs)
+        try:
+            got = conv2d(view, spec, w, b)
+        finally:
+            tensor.RUNS.reset(token)
+        monkeypatch.setattr(np, "matmul", matmul)
+        band = _view_band(19, h, w_, runs)
+        tile = 19 * band * w_ * np.dtype(DTYPE).itemsize
+        assert gemms == n * [((c_out, 19), min(band, h - r0) * w_, tile) for r0 in range(0, h, band)]
+        want = conv2d(np.asarray(view), spec, w, b)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        _assert_within_conv_bound(got, oracle.conv2d_naive(np.asarray(view), spec, w, b), np.asarray(view), spec, w, b)
+
+    def test_band_is_a_fraction_of_the_view(self):
+        # N's P3 stem at 640 (192 channels at 80x80) reads 16 bands of 5
+        # rows, a 307 KB tile against the 4.9 MB the copy held; a map of at
+        # most MIN_SITES // 4 sites is one band
+        assert _view_band(192, 80, 80) == 5
+        assert _view_band(960, 32, 32) == 8  # X's P3 stem at 256: 4 bands of 256 sites
+        assert _view_band(384, 20, 20) == 10 and _view_band(64, 16, 16) == 16
+        assert _view_band(960, 32, 32, runs=2) == 4
+
+    @pytest.mark.parametrize("spec", [ConvSpec(19, 4, 3, 1, 1), ConvSpec(19, 4, 1, 2, 0),
+                                      ConvSpec(19, 4, 3, 2, 1), ConvSpec(19, 19, 1, 1, 0, groups=19)])
+    def test_any_other_conv_reads_the_copy(self, rng, spec):
+        view = concat_channels(_parts(rng, 2, 8, 6))
+        w = rng.standard_normal(spec.weight_shape).astype(DTYPE)
+        got, want = conv2d(view, spec, w), conv2d(np.asarray(view), spec, w)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    def test_every_other_op_is_handed_the_copy(self, rng):
+        parts = _parts(rng, 1, 8, 6)
+        view, copy = concat_channels(parts), np.asarray(concat_channels(parts))
+        assert np.array_equal(add(view, copy), copy + copy)
+        assert np.array_equal(activation(view, "silu"), activation(copy, "silu"))
+        assert np.array_equal(pool2d(view, "max", 3, 1, 1), pool2d(copy, "max", 3, 1, 1))
+        assert np.array_equal(upsample_nearest(view), upsample_nearest(copy))
+        handed = []
+
+        class Backend:
+            def conv2d(self, x, spec, weights, bias=None):
+                handed.append(("conv2d", type(x)))
+                with override_backend(None):
+                    return conv2d(x, spec, weights, bias)
+
+            def add(self, x, y):
+                handed.append(("add", type(x)))
+                return x + y
+
+        spec = ConvSpec(19, 2, 1)
+        with override_backend(Backend()):
+            conv2d(view, spec, np.ones(spec.weight_shape, DTYPE))
+            add(view, copy)
+        assert handed == [("conv2d", tensor.ConcatView), ("add", np.ndarray)]
 
 
 class TestZeroView:

@@ -4,9 +4,8 @@ Exit codes: 0 success, 1 validation or tolerance failure (or memory
 exhausted), 2 usage error.
 All output is reproducible byte-for-byte for fixed flags and seed. Forward
 output for one image also needs a fixed BLAS thread count, since a GEMM's
-summation order follows how the BLAS splits it across threads. A batch runs
-with the BLAS at one thread, as one image run per usable CPU, so its bytes
-need a fixed number of runs instead.
+summation order follows how the BLAS splits it across threads, and for a
+batch a fixed image-run count instead (``graph.Model._pass``).
 """
 from __future__ import annotations
 

@@ -12,7 +12,11 @@ Conventions (all counts are exact integers, per single input sample):
   totals or ratios. Each op's per-element count is stated once, at its
   ``MetaBackend`` method.
 - ``conv3x3`` is the census of dense (groups == 1) 3x3 convolution sites.
-- FLOPs are reported as 2 * MACs; both columns are printed.
+- FLOPs are reported as 2 * MACs, in the totals only.
+
+A node's counts are one ``Tally``. Its fields, in order, are the report's
+columns, the JSON keys of each node and of the totals, and the schema's
+properties, so a new count is one more field.
 
 No block structure is restated here: ``block_tally`` runs a block's own
 forward on a zero view (``tensor.zero_view``) under ``MetaBackend``, and
@@ -22,7 +26,7 @@ size is still an error.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
 from . import blocks as B
@@ -43,10 +47,25 @@ def conv_cost(spec: ConvSpec, h_in: int, w_in: int) -> tuple[int, int]:
 
 @dataclass
 class Tally:
+    """A node's counts. A field's ``head`` names its text column (default:
+    its name) and its ``fmt`` prints it (default: thousands separators)."""
+
     macs: int = 0
     params: int = 0
-    conv3x3: int = 0
-    other: int = 0
+    conv3x3: int = field(default=0, metadata={"head": "3x3", "fmt": "d"})  # a census: no separator
+    other_ops: int = 0
+
+
+COUNTS = tuple(f.name for f in fields(Tally))
+
+
+def _with_flops(counts: dict) -> dict:
+    """The counts with FLOPs (2 * MACs) placed after the MACs."""
+    return {"macs": counts["macs"], "flops": 2 * counts["macs"], **counts}
+
+
+def _cells(counts: dict) -> list:
+    return [format(counts[f.name], f.metadata.get("fmt", ",")) for f in fields(Tally)]
 
 
 class MetaBackend:
@@ -69,32 +88,32 @@ class MetaBackend:
         self.tally.macs += n * conv_cost(spec, h, w)[0]
         self.tally.conv3x3 += int(spec.k == 3 and spec.groups == 1)
         if bias is not None:
-            self.tally.other += y.size  # bias add
+            self.tally.other_ops += y.size  # bias add
         return y
 
     def pool2d(self, x, kind, k, stride, padding=0, include_pad=True):
         n, c, h, w = x.shape
         y = zero_view((n, c, *conv_out_hw(h, w, k, stride, padding)))
-        self.tally.other += k * k * y.size  # one per window entry
+        self.tally.other_ops += k * k * y.size  # one per window entry
         return y
 
     def batchnorm_infer(self, x, bn):
-        self.tally.other += 2 * x.size  # scale + shift
+        self.tally.other_ops += 2 * x.size  # scale + shift
         return x
 
     def activation(self, x, kind):
         if kind != "identity":
-            self.tally.other += x.size
+            self.tally.other_ops += x.size
         return x
 
     def add(self, x, y):  # and mul: one per element of x
-        self.tally.other += x.size
+        self.tally.other_ops += x.size
         return x
 
     mul = add
 
     def global_avg_pool(self, x):
-        self.tally.other += x.size  # one read per input element
+        self.tally.other_ops += x.size  # one read per input element
         return zero_view((*x.shape[:2], 1, 1))
 
     def matmul_batched(self, a, b):
@@ -103,7 +122,7 @@ class MetaBackend:
         return y
 
     def softmax_lastdim(self, m):
-        self.tally.other += 4 * m.size  # max, sub+exp, sum, div
+        self.tally.other_ops += 4 * m.size  # max, sub+exp, sum, div
         return m
 
     def split_channels(self, x, parts):
@@ -130,14 +149,12 @@ def block_tally(block, h: int, w: int) -> tuple[Tally, int, int]:
     return (meta.take(block), *y.shape[2:])
 
 
-@dataclass
-class NodeCost:
+@dataclass(kw_only=True)
+class NodeCost(Tally):
+    """One node's row: its counts, name and kind."""
+
     name: str
     kind: str
-    macs: int
-    params: int
-    conv3x3: int
-    other_ops: int
 
 
 @dataclass
@@ -146,73 +163,38 @@ class CostReport:
 
     @property
     def totals(self) -> dict:
-        macs = sum(n.macs for n in self.nodes)
-        return {
-            "macs": macs,
-            "flops": 2 * macs,
-            "params": sum(n.params for n in self.nodes),
-            "conv3x3": sum(n.conv3x3 for n in self.nodes),
-            "other_ops": sum(n.other_ops for n in self.nodes),
-        }
+        return _with_flops({k: sum(getattr(n, k) for n in self.nodes) for k in COUNTS})
 
     def to_json_obj(self) -> dict:
         return {"nodes": [asdict(n) for n in self.nodes], "totals": self.totals}
 
     def to_text(self) -> str:
-        headers = ("node", "kind", "macs", "params", "3x3", "other_ops")
-        rows = [
-            (n.name, n.kind, f"{n.macs:,}", f"{n.params:,}", str(n.conv3x3), f"{n.other_ops:,}")
-            for n in self.nodes
-        ]
         tot = self.totals
-        rows.append(("TOTAL", "", f"{tot['macs']:,}", f"{tot['params']:,}",
-                     str(tot["conv3x3"]), f"{tot['other_ops']:,}"))
-        widths = [max(len(headers[i]), max(len(r[i]) for r in rows)) for i in range(6)]
-        lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers))]
-        lines.append("  ".join("-" * w for w in widths))
-        for r in rows[:-1]:
-            lines.append("  ".join(r[i].ljust(widths[i]) for i in range(6)))
-        lines.append("  ".join("-" * w for w in widths))
-        lines.append("  ".join(rows[-1][i].ljust(widths[i]) for i in range(6)))
-        lines.append(f"FLOPs (2*MACs): {tot['flops']:,}")
-        return "\n".join(lines)
+        rows = [("node", "kind", *(f.metadata.get("head", f.name) for f in fields(Tally)))]
+        rows += [(n.name, n.kind, *_cells(vars(n))) for n in self.nodes]
+        rows.append(("TOTAL", "", *_cells(tot)))
+        widths = [max(map(len, col)) for col in zip(*rows)]
+        rule = "  ".join("-" * w for w in widths)
+        lines = ["  ".join(cell.ljust(w) for cell, w in zip(r, widths)) for r in rows]
+        flops = f"FLOPs (2*MACs): {tot['flops']:,}"
+        return "\n".join([lines[0], rule, *lines[1:-1], rule, lines[-1], flops])
 
 
-COST_REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["nodes", "totals"],
-    "additionalProperties": False,
-    "properties": {
-        "nodes": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["name", "kind", "macs", "params", "conv3x3", "other_ops"],
-                "additionalProperties": False,
-                "properties": {
-                    "name": {"type": "string"},
-                    "kind": {"type": "string"},
-                    "macs": {"type": "integer", "minimum": 0},
-                    "params": {"type": "integer", "minimum": 0},
-                    "conv3x3": {"type": "integer", "minimum": 0},
-                    "other_ops": {"type": "integer", "minimum": 0},
-                },
-            },
-        },
-        "totals": {
-            "type": "object",
-            "required": ["macs", "flops", "params", "conv3x3", "other_ops"],
-            "additionalProperties": False,
-            "properties": {
-                "macs": {"type": "integer", "minimum": 0},
-                "flops": {"type": "integer", "minimum": 0},
-                "params": {"type": "integer", "minimum": 0},
-                "conv3x3": {"type": "integer", "minimum": 0},
-                "other_ops": {"type": "integer", "minimum": 0},
-            },
-        },
-    },
-}
+def _record(properties: dict) -> dict:
+    """A schema object that requires exactly `properties`, in their order."""
+    return {"type": "object", "required": list(properties), "additionalProperties": False,
+            "properties": properties}
+
+
+def _counts(keys) -> dict:
+    return {k: {"type": "integer", "minimum": 0} for k in keys}
+
+
+COST_REPORT_SCHEMA = _record({
+    "nodes": {"type": "array", "items": _record(
+        {"name": {"type": "string"}, "kind": {"type": "string"}, **_counts(COUNTS)})},
+    "totals": _record(_counts(_with_flops(dict.fromkeys(COUNTS, 0)))),
+})
 
 
 def graph_cost(graph, input_shape: tuple) -> CostReport:
@@ -220,7 +202,7 @@ def graph_cost(graph, input_shape: tuple) -> CostReport:
     ``graph.static_walk``; upsample and concat cost nothing."""
     from .graph import static_walk
 
-    return CostReport([NodeCost(node.id, node.kind, t.macs, t.params, t.conv3x3, t.other)
+    return CostReport([NodeCost(name=node.id, kind=node.kind, **vars(t))
                        for node, _, t in static_walk(graph, *input_shape)])
 
 

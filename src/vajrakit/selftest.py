@@ -32,11 +32,29 @@ def rand_bn(rng, c) -> BNParams:
     )
 
 
-def _randomize(block, rng, scale=0.3) -> None:
-    for _, owner, attr, is_stat in block.slots("x"):
+def randomize(block, rng, scale=0.3, with_bn=False):
+    """Set a block's parameters to fresh random arrays: kernels always,
+    biases always, batchnorm statistics only when with_bn."""
+    for name, owner, attr, is_stat in block.slots("t"):
         shape = getattr(owner, attr).shape
-        if not is_stat and len(shape) == 4:
-            setattr(owner, attr, rng.uniform(-scale, scale, shape).astype(DTYPE))
+        new = None
+        if is_stat:
+            if with_bn:
+                if name.endswith(".mean"):
+                    new = rng.normal(0, 0.2, shape)
+                else:  # .var
+                    new = rng.uniform(0.25, 1.5, shape)
+        elif len(shape) == 4:
+            new = rng.standard_normal(shape) * scale
+        elif name.endswith(".b"):
+            new = rng.normal(0, 0.1, shape)
+        elif with_bn and name.endswith(".gamma"):
+            new = rng.uniform(0.8, 1.25, shape)
+        elif with_bn and name.endswith(".beta"):
+            new = rng.normal(0, 0.1, shape)
+        if new is not None:
+            setattr(owner, attr, new.astype(DTYPE))
+    return block
 
 
 def _check(ok, msg: str = "check failed") -> None:  # an assert that python -O keeps
@@ -114,7 +132,7 @@ def check_attention_rows():
         heads = int(rng.choice([1, 2, 4]))
         c = heads * int(rng.choice([8, 16]))
         blk = B.AttentionV2(c, heads)
-        _randomize(blk, rng)
+        randomize(blk, rng)
         x = rng.standard_normal((1, c, 6, 6)).astype(DTYPE)
         y, attn = blk.forward(x, return_attn=True)
         _check(y.shape == x.shape)
@@ -129,7 +147,7 @@ def check_adown_arithmetic():
     _check(Fraction(ac.params, ac.std_params) == Fraction(5, 18))
     blk = B.ADown(64, 128)
     rng = np.random.default_rng(1)
-    _randomize(blk, rng)
+    randomize(blk, rng)
     x = rng.standard_normal((1, 64, 32, 32)).astype(DTYPE)
     with oracle.reference() as ref:
         blk.forward(x)
@@ -150,7 +168,7 @@ def check_cost_counter_equality():
         B.ConvBNAct(8, 8, 3, 2),
     ]
     for blk in small:
-        _randomize(blk, rng)
+        randomize(blk, rng)
         x = rng.standard_normal((1, blk.c_in, 8, 8)).astype(DTYPE)
         with oracle.reference() as ref:
             blk.forward(x)

@@ -19,10 +19,8 @@ Dense convolution is a BLAS matmul over the im2col patch matrix, built one
 band of output rows at a time straight from the unpadded input (zeros where
 a tap falls in the padding) and multiplied into its slice of the output. A
 band is at most TILE_BYTES and at most the rows a MIN_SITES-wide GEMM needs.
-The image runs (``RUNS``) that share a batched pass keep that band and split
-the contraction instead: a band is then one GEMM per part of whole input
-channels, the first into the output, each later one into a partial buffer
-added onto it, a slice of output channels at a time.
+An image run of a batched pass keeps that band and splits the contraction
+into ``RUNS`` parts instead (``graph.Model._pass`` states the rule).
 A 1x1 stride-1 unpadded conv multiplies a reshape of the input, with no copy,
 or gathers each band of a concat view's parts into one tile and multiplies
 that (see VIEW_BANDS).
@@ -318,16 +316,11 @@ MIN_SITES = 1024
 # run cut does the same to N's 6x8 and 3x4 maps at 2x3x96x128.
 VIEW_BANDS = 16
 
-# How many image runs share the pass: ``weights.run_spans`` sets it to its
-# run count in each run's context, so each image run of a batched pass reads
-# it. The runs' transients together take about what one run's would, and
-# every GEMM keeps one run's width: a dense conv splits its contraction into
-# RUNS parts of ceil(c_in / RUNS) whole input channels, its tile holds one
-# part at a time, and each later part's product goes through a partial
-# buffer of ceil(c_out / RUNS) output channels. It splits only where the
-# tile it saves is larger than that buffer. A SiLU band, and the band of a
-# 1x1 conv reading a concat view, is one run's divided by RUNS, rounded up.
-# README's "Feature-map memory" gives the measurements.
+# How many image runs share the pass: ``weights.run_spans`` sets it in each
+# run's context. A dense conv splits its contraction into that many parts
+# (``_dense_conv``), and a SiLU band and a concat view's band are divided by
+# it. ``graph.Model._pass`` states the rule; README's "Feature-map memory"
+# gives the measurements.
 RUNS: contextvars.ContextVar = contextvars.ContextVar("vajrakit_runs", default=1)
 
 
@@ -344,12 +337,13 @@ def _dense_conv(x: np.ndarray, spec: ConvSpec, weights: np.ndarray, out: np.ndar
     @ the im2col patch matrix of each image, whose rows are (channel, tap row,
     tap column) and whose columns are output sites. The patch matrix is built
     one band of whole output rows at a time (see TILE_BYTES), straight from
-    the unpadded input, and each band's rows one part of whole channels at a
-    time (see RUNS): the first part's GEMM writes the output band, each later
-    one a partial buffer that is added onto it, one slice of ceil(c_out /
-    RUNS) output channels at a time. A 1x1 stride-1 conv multiplies the input
-    in place, or, if it is a ``ConcatView``, gathers each band of its parts
-    into one tile and multiplies that whole (see VIEW_BANDS)."""
+    the unpadded input, and each band's rows one part of ceil(c_in / RUNS)
+    whole channels at a time: the first part's GEMM writes the output band,
+    each later one a partial buffer that is added onto it, one slice of
+    ceil(c_out / RUNS) output channels at a time (``graph.Model._pass`` says
+    why). A 1x1 stride-1 conv multiplies the input in place, or, if it is a
+    ``ConcatView``, gathers each band of its parts into one tile and
+    multiplies that whole (see VIEW_BANDS)."""
     n, c, h, w = x.shape
     k, s, p = spec.k, spec.stride, spec.padding
     ho, wo = out.shape[2:]

@@ -20,13 +20,10 @@ middle element, so small jobs stay on the calling thread. ``init_weights``
 runs its kernels' draws this way, ``reparam_graph`` the leaves of every
 block (by their arrays' sizes) and ``load`` the tensors of the file, read by
 ``os.preadv`` on its one descriptor. Each run's result depends on nothing
-but its arrays, so the bytes do not depend on the split. A batched forward
-pass runs its images this way too, with OpenBLAS held at one thread
-(``one_blas_thread``). ``run_spans`` alone knows how many runs it made: it
-sets that count as ``tensor.RUNS`` in each worker, where it splits dense
-conv contractions into that many parts and divides the SiLU band. A pass
-that must stay on one thread asks it to count the runs without starting
-them, and walks the whole batch with that count, so its bytes are theirs.
+but its arrays, so the bytes do not depend on the split. ``run_spans``
+sets its run count as ``tensor.RUNS`` in each run. A batched forward pass
+runs its images this way too, with OpenBLAS held at one thread
+(``one_blas_thread``); ``graph.Model._pass`` states its rule.
 """
 from __future__ import annotations
 
@@ -179,9 +176,7 @@ def run_spans(work, sizes, threads: bool = True) -> None:
     false they are counted but not started: one ``work(0, len(sizes))``
     goes on the calling thread, in a copy of its context with ``RUNS`` set
     to that count, so work whose items do not depend on each other computes
-    what the runs would. A batched forward pass (``graph.Model._pass``)
-    gives each image the weight of one whole span, so it gets one run per
-    image up to the CPU count."""
+    what the runs would. ``graph.Model._pass`` runs a batch's images so."""
     total = sum(sizes)
     parts = max(1, min(_usable_cpus(), total // _MIN_SPAN))
     starts = itertools.accumulate(sizes, initial=0)

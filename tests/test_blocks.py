@@ -34,10 +34,19 @@ def _windows(x, k, stride, padding):
 
 
 def _conv(mag, err, spec, w):
-    """(mag, err) after a dense conv; its sums of |w| times mag or err in float64."""
-    acc, spread = (np.einsum("nchwij,ocij->nohw", _windows(a, spec.k, spec.stride, spec.padding),
-                             np.abs(w.astype(np.float64))) for a in (mag, err))
-    slack = gamma(spec.k * spec.k * spec.c_in + 3)
+    """(mag, err) after a conv, dense or grouped: per group, its sums of |w|
+    times mag or err in float64, over K = k*k*c_in/groups products."""
+    g, k = spec.groups, spec.k
+    wg = np.abs(w.astype(np.float64)).reshape(g, spec.c_out // g, spec.c_in // g, k, k)
+
+    def sums(a):
+        win = _windows(a, k, spec.stride, spec.padding)
+        n, _, ho, wo = win.shape[:4]
+        win = win.reshape(n, g, spec.c_in // g, ho, wo, k, k)
+        return np.einsum("ngchwij,gocij->ngohw", win, wg).reshape(n, spec.c_out, ho, wo)
+
+    acc, spread = sums(mag), sums(err)
+    slack = gamma(k * k * (spec.c_in // g) + 3)
     return acc * (1 + slack), spread + slack * acc
 
 
@@ -230,6 +239,15 @@ class TestMerudandaDW:
         with oracle.reference():
             ref = blk.forward(x)
         assert np.abs(fast - ref).max() <= 1e-5
+        # the chain's five convs (depthwise 3x3, 1x1, depthwise 3x3, 1x1,
+        # depthwise 3x3) differ, each followed by batchnorm and SiLU, then
+        # the residual add of x, the same on both sides
+        mag, err = np.abs(x.astype(np.float64)), np.zeros(x.shape)
+        y = (mag, err)
+        for _, leaf in blk.leaves(""):
+            y = _silu(*_bn(*_conv(*y, leaf.spec, leaf.w), leaf.bn))
+        bound = _add((mag, err), y)[1]
+        assert np.all(np.abs(fast.astype(np.float64) - ref) <= bound)
 
 
 class TestSqueezeExcite:

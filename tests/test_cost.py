@@ -3,19 +3,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
 
 from conftest import rand_input, randomize
+from test_config_text import valid_config
 from vajrakit import blocks as B
 from vajrakit import oracle, tensor
 from vajrakit.cost import (
     COST_REPORT_SCHEMA,
+    COUNTS,
     CostReport,
     adown_cost,
     block_tally,
     conv_cost,
     graph_cost,
 )
-from vajrakit.graph import parse_config
+from vajrakit.graph import ConfigError, parse_config
 from vajrakit.tensor import DTYPE, ConvSpec, ShapeError, conv2d
 from vajrakit.weights import init_weights
 
@@ -269,3 +272,53 @@ block c type=merudanda_bhag15 in=24 out=16 n=1 inner=merudanda_dw from=cat
         with override_backend(Exploder()):
             report = graph_cost(graph, (8, 8, 8))
         assert report.totals["macs"] > 0
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(valid_config())
+def test_report_on_random_graphs_fits_schema_and_its_columns(text):
+    # every drawn graph in both forms: train, and fused=1 built from config
+    import jsonschema
+
+    body = "\n".join(line for line in text.splitlines() if line != "fused=1")
+    for header in ("", "fused=1\n"):
+        try:
+            graph, _ = parse_config(header + body)
+            report = graph_cost(graph, (graph.input_channels or 3, 16, 16))
+        except (ConfigError, ShapeError):
+            assume(False)
+        obj = report.to_json_obj()
+        jsonschema.validate(obj, COST_REPORT_SCHEMA)
+        tot = obj["totals"]
+        for key in COUNTS:
+            assert tot[key] == sum(node[key] for node in obj["nodes"]), key
+        assert tot["flops"] == 2 * tot["macs"]
+        lines = report.to_text().splitlines()
+        assert lines[0].split() == ["node", "kind", "macs", "params", "3x3", "other_ops"]
+        assert lines[-2].split() == ["TOTAL", f"{tot['macs']:,}", f"{tot['params']:,}",
+                                     str(tot["conv3x3"]), f"{tot['other_ops']:,}"]
+        assert lines[-1] == f"FLOPs (2*MACs): {tot['flops']:,}"
+
+
+class TestSchemaRejects:
+    @staticmethod
+    def _rejects(edit):
+        import jsonschema
+
+        graph, _ = parse_config("block a type=adown in=8 out=16 from=input")
+        obj = graph_cost(graph, (8, 8, 8)).to_json_obj()
+        jsonschema.validate(obj, COST_REPORT_SCHEMA)
+        edit(obj["nodes"][0])
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(obj, COST_REPORT_SCHEMA)
+
+    @pytest.mark.parametrize("key", COUNTS)
+    def test_node_lacking_a_count(self, key):
+        self._rejects(lambda node: node.pop(key))
+
+    def test_node_with_an_extra_key(self):
+        self._rejects(lambda node: node.update(live_bytes=0))
+
+    @pytest.mark.parametrize("key", COUNTS)
+    def test_negative_count(self, key):
+        self._rejects(lambda node: node.update({key: -1}))

@@ -184,7 +184,6 @@ UNAUDITED_GATES = {
     "test_blocks.py::TestAttentionV2::test_row_stochastic_64x64": 2,
     "test_blocks.py::TestAttentionV2::test_single_site_degenerate": 1,
     "test_blocks.py::TestAttentionV2::test_uniform_logits_average_v": 2,
-    "test_blocks.py::TestMerudandaDW::test_matches_oracle_composition": 1,
 }
 _TINY = re.compile(r"\d*\.?\d*e-\d+")
 

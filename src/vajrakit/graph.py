@@ -443,16 +443,18 @@ class Model:
         Every keyed output is stored as an array: a ``ConcatView`` is copied
         into one, while the walk reads on from the view, so ``forward`` and
         ``stage_outputs`` compute the same bytes. A run over the whole batch
-        keeps any other keyed output as its node returned it. The other runs
-        meet at each
-        keyed node: once each has made its part, one allocates the (n, c, h,
-        w) array, each writes its part into its slice and walks on with that
-        slice (or its view), so no run holds a second copy, and no run's
-        part is allocated while that run still holds its earlier maps. A run
-        that fails breaks the meeting, and the pass raises its error. Under
-        an installed backend, or with a BLAS that has no thread setter, the
-        runs are counted but the batch is one walk on the caller (a backend
-        sees one walk's ops), with ``RUNS`` set to their count. So a batched
+        keeps any other keyed output as its node returned it. Runs over part
+        of the batch share one barrier, made when the first of them starts,
+        and meet at it at each keyed node: once all have arrived with their
+        parts, one allocates the (n, c, h, w) array, each writes its part
+        into its slice and walks on with that slice (or its view), so no run
+        holds a second copy, and the array is not allocated while any run is
+        still making its part (and holds that node's inputs and transients).
+        A run that fails aborts the barrier, so the others stop at it, and
+        the pass raises its error. Under an installed backend, or with a
+        BLAS that has no thread setter, the runs are counted but the batch
+        is one walk on the caller (a backend sees one walk's ops), with
+        ``RUNS`` set to their count. So a batched
         image's bytes depend on the run count (it sets how each dense conv
         splits its sums), never on the schedule, nor, where a setter holds
         it, on the BLAS thread count."""
@@ -460,8 +462,8 @@ class Model:
         n = x.shape[0]
         hold = weights.one_blas_thread() if n > 1 else None
         outs = dict.fromkeys(key.values())
-        meets, failed = {}, []  # node id -> the runs' barrier there; a run's error
         lock = threading.Lock()
+        meet = None  # the runs' one barrier, made when the first of them starts
 
         def place(i, j, node, y):
             if node.id not in key:
@@ -469,13 +471,8 @@ class Model:
             if j - i == n:
                 outs[key[node.id]] = np.asarray(y)
                 return y
-            with lock:
-                meet = meets.setdefault(node.id, threading.Barrier(RUNS.get()))
-                if failed:
-                    meet.abort()
             meet.wait()  # every run has made its part before one allocates the array
             with lock:
-                meets.pop(node.id, None)  # every run holds it by now
                 full = outs[key[node.id]]
                 if full is None:
                     full = outs[key[node.id]] = np.empty((n, *y.shape[1:]), DTYPE)
@@ -483,16 +480,18 @@ class Model:
             return y if type(y) is ConcatView else full[i:j]
 
         def run(i, j):
+            nonlocal meet
+            if j - i < n:
+                with lock:
+                    meet = meet or threading.Barrier(RUNS.get())
             try:
                 for node, y in self.walk(x[i:j], functools.partial(place, i, j)):
                     del y
             except threading.BrokenBarrierError:
                 pass  # another run failed, and run_spans raises its error
             except BaseException:
-                with lock:
-                    failed.append(True)
-                    for meet in meets.values():
-                        meet.abort()
+                if meet is not None:
+                    meet.abort()
                 raise
 
         spans = [weights._MIN_SPAN] * n

@@ -23,18 +23,17 @@ from .weights import WeightStore, run_spans
 
 def fuse_conv_bn(spec: ConvSpec, weights: np.ndarray,
                  bn: BNParams) -> tuple[np.ndarray, np.ndarray]:
-    """Fold batchnorm statistics into the weights of a bias-free conv.
+    """Fold batchnorm statistics into the weights of a bias-free conv, with
+    ``bn.affine()``'s scale = gamma / sqrt(var + eps) and shift, the ones
+    ``batchnorm_infer`` applies:
 
-    W' = W * gamma / sqrt(var + eps) per output channel,
-    b' = (0 - mean) * gamma / sqrt(var + eps) + beta.
+    W' = W * scale per output channel,
+    b' = beta - mean * scale (the shift).
     """
     if bn.channels != spec.c_out:
         raise ValueError(f"BN has {bn.channels} channels, conv emits {spec.c_out}")
-    denom_sq = bn.var + DTYPE(bn.eps)
-    if np.any(denom_sq <= 0):
-        raise ValueError("var + eps must be positive to fold batchnorm")
-    scale = bn.gamma / np.sqrt(denom_sq)
-    return weights * scale[:, None, None, None], (DTYPE(0) - bn.mean) * scale + bn.beta
+    scale, shift = bn.affine()
+    return weights * scale[:, None, None, None], shift
 
 
 def embed_kernel(weights: np.ndarray, target: int) -> np.ndarray:

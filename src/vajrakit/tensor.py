@@ -162,7 +162,7 @@ class BNParams:
         if np.any(self.var < 0):
             raise ValueError("var must be nonnegative")
         # eps == 0 is tolerated for identity statistics; var + eps > 0 is
-        # enforced wherever the denominator is actually formed.
+        # enforced where the denominator is formed, in affine().
 
     @classmethod
     def identity(cls, c: int) -> "BNParams":
@@ -179,6 +179,17 @@ class BNParams:
     @property
     def channels(self) -> int:
         return len(self.gamma)
+
+    def affine(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-channel (scale, shift) = (gamma / sqrt(var + eps), beta - mean *
+        scale), so batchnorm is x * scale + shift: what ``batchnorm_infer``
+        applies and ``reparam.fuse_conv_bn`` folds. Raises ValueError unless
+        var + eps > 0 in every channel."""
+        scale = self.var + DTYPE(self.eps)
+        if np.any(scale <= 0):
+            raise ValueError("var + eps must be positive")
+        np.divide(self.gamma, np.sqrt(scale, out=scale), out=scale)
+        return scale, self.beta - self.mean * scale
 
 
 _ZERO, _ONE = np.zeros(1, DTYPE), np.ones(1, DTYPE)
@@ -212,11 +223,6 @@ def installed_backend():
     return _BACKEND.get()
 
 
-def backend_op(name: str):
-    """The installed backend's method for hooked op `name`, or None if the fast path runs it."""
-    return getattr(_BACKEND.get(), name, None)
-
-
 def _hooked(op):
     """The one dispatch point: the installed backend's same-named method,
     called without ``out``, else `op`, which writes into ``out`` if given.
@@ -229,7 +235,7 @@ def _hooked(op):
     def dispatch(*args, **kwargs):
         if not reads_views and any(type(a) is ConcatView for a in args):
             args = [np.asarray(a) if type(a) is ConcatView else a for a in args]
-        method = backend_op(name)
+        method = getattr(_BACKEND.get(), name, None)
         if method is None:
             return op(*args, **kwargs)
         kwargs.pop("out", None)
@@ -485,14 +491,12 @@ def pool2d(
 @_hooked
 def batchnorm_infer(x: np.ndarray, bn: BNParams, out: np.ndarray | None = None) -> np.ndarray:
     """Per-channel y = gamma * (x - mean) / sqrt(var + eps) + beta, as
-    x * scale + shift, into `out` if given (which may be x)."""
+    x * scale + shift with ``bn.affine()``'s scale and shift (the ones
+    ``reparam.fuse_conv_bn`` folds), into `out` if given (which may be x)."""
     check_tensor4(x, "bn input")
     if bn.channels != x.shape[1]:
         raise ShapeError(f"BN has {bn.channels} channels, input has {x.shape[1]}")
-    if np.any(bn.var + DTYPE(bn.eps) <= 0):
-        raise ValueError("var + eps must be positive")
-    scale = bn.gamma / np.sqrt(bn.var + DTYPE(bn.eps))
-    shift = bn.beta - bn.mean * scale
+    scale, shift = bn.affine()
     out = np.multiply(x, scale[None, :, None, None], out=_out(out, x.shape))
     out += shift[None, :, None, None]
     return out

@@ -6,6 +6,7 @@ from vajrakit.tensor import DTYPE, BNParams
 
 U = 2.0 ** -24  # float32 unit roundoff
 TANH_ULPS = 4  # numpy's float32 tanh, assumed accurate to 4 ulp
+EXP_ULPS = 4  # numpy's float32 exp, assumed accurate to 4 ulp
 
 
 def gamma(n: int) -> float:

@@ -2,6 +2,7 @@
 import math
 import re
 import struct
+import sys
 import threading
 import time
 import tracemalloc
@@ -1338,6 +1339,94 @@ class TestBatchedPass:
         thread.start()
         thread.join(60)
         assert not thread.is_alive() and calls == [1, 1] and errors == ["node 'a': first run"]
+
+    @pytest.mark.parametrize("at", ["a", "b"])
+    def test_a_run_that_fails_before_the_other_meets_it(self, at, monkeypatch):
+        # the first run to reach node `at` fails there before the other run
+        # has made its part: at "a" before any meeting, at "b" after both
+        # runs passed the meeting at "a". The other run then stops at the
+        # meeting instead of waiting for it, and the pass raises the error.
+        # At "b" it may stop at "a" already: a thread still waking from a
+        # barrier's last cycle sees an abort made since, and raises.
+        monkeypatch.setattr(weights_module, "_usable_cpus", lambda: 2)
+        graph, _ = parse_config("block a type=conv_bn_act in=3 out=4 k=3 s=1 stage=S1 from=input\n"
+                                "block b type=conv_bn_act in=4 out=4 k=1 s=1 stage=S2 from=a\n")
+        model = Model(graph).bind(init_weights(graph, 0))
+        block, lock, calls, raised = model.blocks[at], threading.Lock(), [], threading.Event()
+
+        class FailsBeforeTheOtherRun:
+            def forward(self, y):
+                with lock:
+                    calls.append(y.shape[0])
+                    first = len(calls) == 1
+                if first:
+                    raised.set()
+                    raise ShapeError("first run")
+                raised.wait(10)
+                time.sleep(0.1)  # the failing run has aborted the meeting by now
+                return block.forward(y)
+
+        model.blocks[at] = FailsBeforeTheOtherRun()
+        errors = []
+
+        def run():
+            try:
+                model.stage_outputs(np.zeros((2, 3, 8, 8), DTYPE))
+            except ShapeError as e:
+                errors.append(str(e))
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(60)
+        assert not thread.is_alive() and errors == [f"node '{at}': first run"]
+        assert calls == [1, 1] or (at == "b" and calls == [1])
+
+    @pytest.mark.parametrize("method", ["stage_outputs", "forward"])
+    def test_one_barrier_per_pass_and_none_for_one_run(self, method, monkeypatch):
+        # the runs of a pass meet at one barrier at every returned node; a
+        # pass of one image has no one to meet
+        monkeypatch.setattr(weights_module, "_usable_cpus", lambda: 2)
+        made = []
+
+        class Counted(threading.Barrier):
+            def __init__(self, *args, **kwargs):
+                made.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(threading, "Barrier", Counted)
+        for n, want in ((1, 0), (4, 1)):
+            model, x = _batch("M train", n)
+            made.clear()
+            getattr(model, method)(x)
+            assert len(made) == want, n
+
+    def test_four_runs_share_one_barrier_under_fast_switching(self, monkeypatch):
+        # four runs on fewer cores, the interpreter switching threads every
+        # microsecond: runs that each made a barrier of their own would count
+        # two, or hang at a meeting no other run comes to
+        monkeypatch.setattr(weights_module, "_usable_cpus", lambda: 4)
+        made = []
+
+        class Counted(threading.Barrier):
+            def __init__(self, *args, **kwargs):
+                made.append(args)
+                super().__init__(*args, **kwargs)
+
+        model, x = _batch("M train", 4)
+        want = model.stage_outputs(x)
+        monkeypatch.setattr(threading, "Barrier", Counted)
+        got = []
+        thread = threading.Thread(target=lambda: got.extend(model.stage_outputs(x) for _ in range(5)),
+                                  daemon=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            thread.start()
+            thread.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive() and made == [(4,)] * 5
+        for outs in got:
+            _assert_same_outputs(outs, want)
 
     def test_runs_read_returned_outputs_back_from_their_slices(self, monkeypatch):
         # a node that reads an output the pass returns is handed its run's

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from conftest import TANH_ULPS, U, gamma, identity_bn, rand_bn, rand_input, randomize
+from conftest import EXP_ULPS, TANH_ULPS, U, gamma, identity_bn, rand_bn, rand_input, randomize
 from vajrakit import blocks as B
 from vajrakit import oracle
 from vajrakit.reparam import identity_kernel
@@ -25,6 +25,7 @@ from vajrakit.tensor import (
 # SiLU (test_silu_one): h * (tanh(h) + 1) with h = z/2 is within
 # |h| * (TANH_ULPS * u + 4u) of silu(z), and silu's slope is at most 1.1.
 SILU_ERR = (TANH_ULPS / 2 + 2) * U
+TINY = float(np.finfo(DTYPE).smallest_subnormal)  # the absolute error of a rounding that underflows
 
 
 def _windows(x, k, stride, padding):
@@ -74,6 +75,30 @@ def _silu(mag, err):
 def _leaf(mag, err, leaf):
     """(mag, err) after a train-form ConvBNAct with SiLU."""
     return _silu(*_bn(*_conv(mag, err, leaf.spec, leaf.w), leaf.bn))
+
+
+def _fast_leaf(mag, err, leaf):
+    """(mag, err) after an identity-activation ConvBNAct that runs the fast
+    path on both sides: _conv's gamma_{K+3} term covers one side's
+    roundings, the same share of its output bound the other side's."""
+    spec = leaf.spec
+    mag, err = _conv(mag, err, spec, leaf.w)
+    return _bn(mag, err + gamma(spec.k * spec.k * spec.c_in // spec.groups + 3) * mag, leaf.bn)
+
+
+def _softmax_err(logits, ref):
+    """Bound on |softmax_lastdim(logits) - ref|, ref the exact softmax
+    rounded to float32, derived as perfbench/gate.py does, to first order in
+    u: the max shift is rounded once, which exp turns into a relative error
+    of |m - max(m)| u; exp adds EXP_ULPS ulp (2 EXP_ULPS u relative); both
+    count twice (numerator and row sum); the row sum adds gamma_{K-1}, the
+    divide and ref's rounding u each; times 1.01 for the second-order terms,
+    plus K + 3 subnormals for underflow."""
+    m = logits.astype(np.float64)
+    k = m.shape[-1]
+    shift = (m.max(axis=-1, keepdims=True) - m.min(axis=-1, keepdims=True)) * U
+    rel = 2 * (shift + 2 * EXP_ULPS * U) + gamma(k + 1)
+    return 1.01 * rel * np.abs(ref.astype(np.float64)) + (k + 3) * TINY
 
 
 def _repvgg(mag, err, blk):
@@ -245,7 +270,7 @@ class TestMerudandaDW:
         mag, err = np.abs(x.astype(np.float64)), np.zeros(x.shape)
         y = (mag, err)
         for _, leaf in blk.leaves(""):
-            y = _silu(*_bn(*_conv(*y, leaf.spec, leaf.w), leaf.bn))
+            y = _leaf(*y, leaf)
         bound = _add((mag, err), y)[1]
         assert np.all(np.abs(fast.astype(np.float64) - ref) <= bound)
 
@@ -368,6 +393,12 @@ class TestAttentionV2:
         v_map = blk.v.forward(x)
         manual = blk.proj.forward(v_map + blk.pe.forward(v_map))
         assert np.abs(y - manual).max() <= 1e-6
+        # the sides differ only in the attention matmul, one product by attn
+        # = 1, within gamma_1 |v| of v; the add and proj run the same code on
+        # both sides
+        v, pe = (np.abs(a.astype(np.float64)) for a in (v_map, blk.pe.forward(v_map)))
+        bound = _fast_leaf(*_add((v * (1 + gamma(1)), gamma(1) * v), (pe, np.zeros(pe.shape))), blk.proj)[1]
+        assert np.all(np.abs(y.astype(np.float64) - manual) <= bound)
 
     def test_uniform_logits_average_v(self, rng):
         blk = randomize(B.AttentionV2(16, 2), rng)
@@ -375,11 +406,26 @@ class TestAttentionV2:
         x = rand_input(rng, 1, 16, 4, 4)
         y, attn = blk.forward(x, return_attn=True)
         assert np.abs(attn - 1.0 / 16).max() <= 1e-7
+        assert not blk.qk.forward(x).any()  # so every logit is 0
+        attn_err = _softmax_err(np.zeros(attn.shape), np.full(attn.shape, 1.0 / 16))
+        assert np.all(np.abs(attn - 1.0 / 16) <= attn_err)
         v_seq = blk.v.forward(x).reshape(1, 2, 8, 16)
         mean_v = np.broadcast_to(v_seq.mean(axis=3, keepdims=True, dtype=DTYPE), v_seq.shape)
         mean_map = np.ascontiguousarray(mean_v).reshape(1, 16, 4, 4)
         manual = blk.proj.forward(mean_map + blk.pe.forward(blk.v.forward(x)))
         assert np.abs(y - manual).max() <= 1e-6
+        # the sides differ in how they average v over the 16 sites: the
+        # matmul by attn (each within e of 1/16) and v's float32 mean, each
+        # within gamma_16 of its exact sum; the add and proj run the same
+        # code on both sides
+        e = attn_err.max()
+        s = np.abs(v_seq.astype(np.float64)).sum(axis=3, keepdims=True)  # sum of |v| over the sites
+        mag = s * (1 / 16 + e) * (1 + gamma(16))
+        err = s * (e + gamma(16) * (1 / 16 + e) + gamma(16) / 16)
+        avg = [np.broadcast_to(a, v_seq.shape).reshape(1, 16, 4, 4) for a in (mag, err)]
+        pe = np.abs(blk.pe.forward(blk.v.forward(x)).astype(np.float64))
+        bound = _fast_leaf(*_add(avg, (pe, np.zeros(pe.shape))), blk.proj)[1]
+        assert np.all(np.abs(y.astype(np.float64) - manual) <= bound)
 
     def test_row_stochastic_64x64(self, rng):
         blk = randomize(B.AttentionV2(64, 1), rng)
@@ -387,12 +433,19 @@ class TestAttentionV2:
         y, attn = blk.forward(x, return_attn=True)
         assert attn.shape == (1, 1, 64, 64)
         assert np.abs(attn.sum(axis=-1) - 1.0).max() <= 1e-6
+        # attn = z / s with s the float32 sum of the K = 64 nonnegative z,
+        # summed again in float32: K - 1 roundings in s, the divide and K - 1
+        # in the sum, so each row sum is within gamma_{2K-1} of 1, plus K
+        # subnormals for outputs that underflow
+        assert np.all(np.abs(attn.sum(axis=-1) - 1.0) <= gamma(2 * 64 - 1) + 64 * TINY)
         # logits recomputed by hand, softmaxed by the naive oracle
         d = blk.d_head
         qk = blk.qk.forward(x).reshape(1, 1, 2 * d, 64)
         q, k = qk[:, :, :d, :], qk[:, :, d:, :]
         logits = np.matmul(q.transpose(0, 1, 3, 2), k) * DTYPE(1.0 / np.sqrt(d))
         assert np.abs(attn - oracle.softmax_naive(logits)).max() <= 1e-6
+        ref = oracle.softmax_naive(logits)
+        assert np.all(np.abs(attn.astype(np.float64) - ref) <= _softmax_err(logits, ref))
 
     def test_head_divisibility(self):
         with pytest.raises(ValueError):

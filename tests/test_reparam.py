@@ -88,6 +88,19 @@ class TestFuseConvBN:
         with pytest.raises(ValueError):
             fuse_conv_bn(spec, np.zeros(spec.weight_shape, DTYPE), bn)
 
+    def test_bias_is_the_batchnorm_shift_bit_for_bit(self, rng):
+        # the fold's bias is the shift batchnorm_infer adds, read off it at
+        # x = -0.0: with gamma > 0, -0.0 * scale + shift is shift, -0.0 too.
+        # Channel 0 has mean +0.0 and beta -0.0, where the shift is -0.0.
+        c = 6
+        bn = BNParams(rng.uniform(0.5, 2.0, c), rng.standard_normal(c),
+                      rng.standard_normal(c), rng.uniform(0.25, 1.5, c))
+        bn.mean[0], bn.beta[0] = 0.0, -0.0
+        spec = ConvSpec(3, c, 1)
+        _, bias = fuse_conv_bn(spec, rng.standard_normal(spec.weight_shape).astype(DTYPE), bn)
+        shift = batchnorm_infer(np.full((1, c, 1, 1), -0.0, DTYPE), bn).reshape(c)
+        assert bias.tobytes() == shift.tobytes() and np.signbit(bias[0])
+
     def test_channel_mismatch_rejected(self):
         spec = ConvSpec(2, 4, 1)
         with pytest.raises(ValueError):
